@@ -159,3 +159,40 @@ func TestKernelStripeShapeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKernelBlockRangeShapeValidation: PackedBlockRangeMW accepts any
+// in-bounds range up to one stripe wide, at any block offset, and
+// rejects empty, over-wide, out-of-range, and wrong-shaped requests.
+func TestKernelBlockRangeShapeValidation(t *testing.T) {
+	c := bench.MustGenerate("C432")
+	e := NewEvaluator(c, delay.FanoutLoaded{}, Params{})
+	var pp sim.PackedPairs
+	pp.Reset(c.NumInputs(), 600) // 10 blocks, the last one 24 lanes
+	if err := e.PackedBlockRangeMW(&pp, 0, 1, make([]float64, 64)); err == nil {
+		t.Fatal("PackedBlockRangeMW ran without UseKernels")
+	}
+	e.UseSpeculative(nil, "")
+	w := e.StripeWords()
+	for _, bad := range []struct{ b0, nb, out int }{
+		{0, 0, 0},
+		{-1, 1, 64},
+		{0, w + 1, (w + 1) * 64},
+		{9, 2, 24},
+		{3, 2, 127},
+		{9, 1, 64},
+	} {
+		if err := e.PackedBlockRangeMW(&pp, bad.b0, bad.nb, make([]float64, bad.out)); err == nil {
+			t.Errorf("blocks [%d, %d) into %d slots accepted", bad.b0, bad.b0+bad.nb, bad.out)
+		}
+	}
+	for _, ok := range []struct{ b0, nb, out int }{
+		{3, 2, 128},
+		{1, w, w * 64},
+		{9, 1, 24},
+		{5, 5, 5*64 - 40},
+	} {
+		if err := e.PackedBlockRangeMW(&pp, ok.b0, ok.nb, make([]float64, ok.out)); err != nil {
+			t.Errorf("blocks [%d, %d): %v", ok.b0, ok.b0+ok.nb, err)
+		}
+	}
+}

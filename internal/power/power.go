@@ -499,22 +499,36 @@ func (e *Evaluator) BatchMWPacked(pp *sim.PackedPairs, out []float64) error {
 // PackedStripeMW evaluates one stripe — StripeWords 64-lane blocks — of
 // the packed batch through the compiled striped engine into out, which
 // must cover exactly the stripe's lanes (shorter on the final partial
-// stripe). The striped analogue of PackedBlockMW, exposed at the same
-// seam so worker pools can split batches at stripe granularity;
-// allocation-free in steady state and bit-identical per lane to the
-// scalar oracle for every delay model.
+// stripe). It is PackedBlockRangeMW over the stripe's block range.
 func (e *Evaluator) PackedStripeMW(pp *sim.PackedPairs, stripe int, out []float64) error {
 	if !e.useKernels {
 		return fmt.Errorf("power: PackedStripeMW requires UseKernels")
 	}
-	p := e.program()
-	sl := p.StripeLanes()
-	lanes := pp.N - stripe*sl
-	if lanes > sl {
-		lanes = sl
+	w := e.program().StripeWords()
+	b0 := stripe * w
+	if stripe < 0 || b0 >= pp.Blocks() {
+		return fmt.Errorf("power: stripe %d of %d packed pairs", stripe, pp.N)
 	}
-	if lanes <= 0 || len(out) != lanes {
-		return fmt.Errorf("power: %d power slots for stripe %d of %d packed pairs", len(out), stripe, pp.N)
+	return e.PackedBlockRangeMW(pp, b0, min(w, pp.Blocks()-b0), out)
+}
+
+// PackedBlockRangeMW evaluates blocks b0 … b0+nb−1 (1 ≤ nb ≤ StripeWords,
+// any b0) of the packed batch as one compiled stripe into out, which must
+// cover exactly those blocks' pairs (shorter when the range ends at a
+// partial final block). The striped analogue of PackedBlockMW, exposed at
+// the same seam so worker pools can split batches at block granularity
+// and still run whole stripes; allocation-free in steady state and
+// bit-identical per lane to the scalar oracle for every delay model.
+func (e *Evaluator) PackedBlockRangeMW(pp *sim.PackedPairs, b0, nb int, out []float64) error {
+	if !e.useKernels {
+		return fmt.Errorf("power: PackedBlockRangeMW requires UseKernels")
+	}
+	p := e.program()
+	if b0 < 0 || nb < 1 || nb > p.StripeWords() || b0+nb > pp.Blocks() {
+		return fmt.Errorf("power: blocks [%d, %d) of %d packed pairs at stripe width %d", b0, b0+nb, pp.N, p.StripeWords())
+	}
+	if lanes := min(pp.N, (b0+nb)*64) - b0*64; len(out) != lanes {
+		return fmt.Errorf("power: %d power slots for blocks [%d, %d) of %d packed pairs", len(out), b0, b0+nb, pp.N)
 	}
 	var r *sim.StripedResult
 	if e.speculate {
@@ -524,13 +538,13 @@ func (e *Evaluator) PackedStripeMW(pp *sim.PackedPairs, stripe int, out []float6
 			// per-lane settle/event aggregation entirely.
 			e.spec.LaneStats = false
 		}
-		r = e.spec.Run(pp, stripe)
+		r = e.spec.RunBlocks(pp, b0, nb)
 	} else {
 		if e.striped == nil {
 			e.striped = sim.NewStriped(p)
 			e.striped.LaneStats = false
 		}
-		r = e.striped.Run(pp, stripe)
+		r = e.striped.RunBlocks(pp, b0, nb)
 	}
 	e.stripeMW(r, out)
 	return nil

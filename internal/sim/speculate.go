@@ -134,9 +134,16 @@ func (sp *Speculative) Stats() SpecStats {
 // Striped.Run's exact contract (same validation, same stripe addressing,
 // same StripedResult aliasing rules — the result is the owned Striped's).
 func (sp *Speculative) Run(pp *PackedPairs, stripe int) *StripedResult {
+	b0, nb := sp.st.stripeRange(pp, stripe)
+	return sp.RunBlocks(pp, b0, nb)
+}
+
+// RunBlocks is Run over an arbitrary block range b0 … b0+nb−1 (1 ≤ nb ≤
+// W), under Striped.RunBlocks's contract.
+func (sp *Speculative) RunBlocks(pp *PackedPairs, b0, nb int) *StripedResult {
 	st := sp.st
 	st.LaneStats = sp.LaneStats
-	b0 := st.prepare(pp, stripe)
+	st.prepare(pp, b0, nb)
 	if sp.p.zeroDelay {
 		st.runZero(pp, b0)
 		return &st.res

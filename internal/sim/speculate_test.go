@@ -12,8 +12,9 @@ import (
 // against both the full event wheel and the scalar oracle — toggle
 // counts, Any/Multi masks, settle times, event totals. It is the
 // speculative engine's core contract: settle-then-patch is an execution
-// strategy, never a result change.
-func diffSpeculative(t *testing.T, c *netlist.Circuit, m delay.Model, width, lanes int, seed uint64) {
+// strategy, never a result change. ragged runs the batch as
+// raggedRanges through RunBlocks instead of stripe by stripe.
+func diffSpeculative(t *testing.T, c *netlist.Circuit, m delay.Model, width, lanes int, seed uint64, ragged bool) {
 	t.Helper()
 	s := New(c, m)
 	p := CompileModel(c, m, CompileOptions{Width: width})
@@ -22,15 +23,21 @@ func diffSpeculative(t *testing.T, c *netlist.Circuit, m delay.Model, width, lan
 	v1s := xorshiftVectors(lanes, c.NumInputs(), seed)
 	v2s := xorshiftVectors(lanes, c.NumInputs(), seed+1)
 	pp := packVectors(c.NumInputs(), v1s, v2s)
-	stripeLanes := p.StripeLanes()
+	ranges := stripeRanges(pp.Blocks(), width)
+	if ragged {
+		ranges = raggedRanges(pp.Blocks(), width)
+	}
 	var dst []int32
-	for stripe := 0; stripe*stripeLanes < lanes; stripe++ {
-		rw := st.Run(pp, stripe)
-		r := sp.Run(pp, stripe)
-		active := lanes - stripe*stripeLanes
-		if active > r.AW*64 {
-			active = r.AW * 64
+	for i, br := range ranges {
+		var rw, r *StripedResult
+		if ragged {
+			rw = st.RunBlocks(pp, br.b0, br.nb)
+			r = sp.RunBlocks(pp, br.b0, br.nb)
+		} else {
+			rw = st.Run(pp, i)
+			r = sp.Run(pp, i)
 		}
+		active := min(lanes-br.b0*64, r.AW*64)
 		// Word-level planes must match the wheel exactly (the energy path
 		// reads them without per-lane reconstruction).
 		for slot := 0; slot < r.NSlots; slot++ {
@@ -44,7 +51,7 @@ func diffSpeculative(t *testing.T, c *netlist.Circuit, m delay.Model, width, lan
 			}
 		}
 		for l := 0; l < active; l++ {
-			li := stripe*stripeLanes + l
+			li := br.b0*64 + l
 			want := s.RunCycle(v1s[li], v2s[li])
 			word, bit := l/64, l%64
 			dst = r.Toggles(word, bit, dst)
@@ -85,8 +92,10 @@ func TestSpeculativeDifferentialScalar(t *testing.T) {
 		c := bench.MustGenerate(name)
 		for _, m := range models {
 			t.Run(name+"/"+m.Name(), func(t *testing.T) {
-				diffSpeculative(t, c, m, 8, 300, 7)
-				diffSpeculative(t, c, m, 2, 200, 11)
+				diffSpeculative(t, c, m, 8, 300, 7, false)
+				diffSpeculative(t, c, m, 2, 200, 11, false)
+				diffSpeculative(t, c, m, 8, 600, 13, true)
+				diffSpeculative(t, c, m, 4, 1100, 17, true)
 			})
 		}
 	}
@@ -116,7 +125,7 @@ func TestSpeculativeRandomDifferential(t *testing.T) {
 		}
 		t.Logf("seed %d: %s (%d gates)", seed, c.Name, len(c.Gates))
 		m := models[seed%uint64(len(models))]
-		diffSpeculative(t, c, m, 2, 130, seed*3+1)
+		diffSpeculative(t, c, m, 2, 130, seed*3+1, seed%2 == 1)
 	}
 }
 

@@ -95,8 +95,9 @@ type Striped struct {
 	changedWM  []uint8
 	settleNorm []int64 // per-lane last-change time, normalized units
 
-	aw  int // active words of the current stripe (1..W)
-	res StripedResult
+	aw    int // active words of the current stripe (1..W)
+	words int // words per slot the per-word state is sized for (aw ≤ words ≤ W)
+	res   StripedResult
 }
 
 // StripedResult holds the per-lane outcomes of one Striped.Run — the
@@ -206,19 +207,18 @@ func (r *StripedResult) Toggles(word, lane int, dst []int32) []int32 {
 	return dst
 }
 
-// NewStriped builds an executor for the program. Value and pending state
-// is allocated up front at full stripe capacity; the calendar arenas and
-// toggle planes grow lazily to the circuit's peak outstanding-event count
-// and toggle depth, after which runs are allocation-free. Runs then
-// reshape the buffers to the stripe's active word count without
-// reallocating.
+// NewStriped builds an executor for the program. Value, pending, and
+// result planes are sized at the widest stripe run so far (see grow), so
+// an executor that only ever runs narrow block ranges never holds W-word
+// state; the calendar arenas and toggle planes grow lazily to the
+// circuit's peak outstanding-event count and toggle depth, after which
+// runs are allocation-free. Runs then reshape the buffers to the
+// stripe's active word count without reallocating.
 func NewStriped(p *Program) *Striped {
-	capWords := p.nLive * p.w
 	st := &Striped{
 		LaneStats:  true,
 		p:          p,
 		lastAW:     -1,
-		values:     make([]uint64, capWords),
 		fabRun:     make([]uint64, p.nLive),
 		settleNorm: make([]int64, p.w*64),
 	}
@@ -227,28 +227,41 @@ func NewStriped(p *Program) *Striped {
 		NSlots:     p.nLive,
 		NGates:     p.nAll,
 		Gates:      p.gates,
-		Any:        make([]uint64, capWords),
 		SettleTime: make([]int64, p.w*64),
 		Events:     make([]int, p.w*64),
 		zero:       p.zeroDelay,
 	}
 	if p.zeroDelay {
-		st.aux = make([]uint64, capWords)
 		return st
 	}
-	st.res.Multi = make([]uint64, capWords)
-	st.pend = make([]uint64, 2*capWords)
-	// Two full counter planes up front: every timed run has both count
-	// bits resident, so the aggregation pass and CountBits never branch on
-	// missing levels; deeper levels (counts ≥ 4) still grow lazily.
-	st.res.planes = make([]uint64, 0, 2*capWords)
-	st.res.ovAny = make([]uint64, capWords)
 	st.cal = make([][]uint64, p.ringW)
 	st.occ = make([]uint64, p.nLive*p.occW)
 	st.hint = make([]uint32, p.nLive)
 	st.evalStamp = make([]int64, p.nLive)
 	st.fanoutWM = make([]uint8, p.nLive)
 	return st
+}
+
+// grow reallocates the per-word state for stripes of up to aw words.
+// Fresh arrays are all-zero, which is every invariant prepare restores
+// on a reshape (pending masks clear, Any/Multi tails clear).
+func (st *Striped) grow(aw int) {
+	p := st.p
+	words := p.nLive * aw
+	st.words = aw
+	st.values = make([]uint64, words)
+	st.res.Any = make([]uint64, words)
+	if p.zeroDelay {
+		st.aux = make([]uint64, words)
+		return
+	}
+	st.res.Multi = make([]uint64, words)
+	st.pend = make([]uint64, 2*words)
+	// Two full counter planes up front: every timed run has both count
+	// bits resident, so the aggregation pass and CountBits never branch on
+	// missing levels; deeper levels (counts ≥ 4) still grow lazily.
+	st.res.planes = make([]uint64, 0, 2*words)
+	st.res.ovAny = make([]uint64, words)
 }
 
 // zeroEntry seeds a freshly appended calendar entry (gate id patched in
@@ -260,11 +273,19 @@ func (st *Striped) Program() *Program { return st.p }
 
 // Run simulates stripe number `stripe` of the packed batch (blocks
 // stripe·W … stripe·W+W−1, missing trailing blocks inert) and returns the
-// per-lane results. Timed programs run the event-driven inertial kernel;
+// per-lane results. It is RunBlocks over the stripe's block range.
+func (st *Striped) Run(pp *PackedPairs, stripe int) *StripedResult {
+	b0, nb := st.stripeRange(pp, stripe)
+	return st.RunBlocks(pp, b0, nb)
+}
+
+// RunBlocks simulates blocks b0 … b0+nb−1 of the packed batch (1 ≤ nb ≤ W,
+// any b0) and returns the per-lane results, lane k·64+l being pair
+// (b0+k)·64+l. Timed programs run the event-driven inertial kernel;
 // zero-delay programs the two-pass settle kernel. The returned result is
 // reused by the next call (see StripedResult's aliasing contract).
-func (st *Striped) Run(pp *PackedPairs, stripe int) *StripedResult {
-	b0 := st.prepare(pp, stripe)
+func (st *Striped) RunBlocks(pp *PackedPairs, b0, nb int) *StripedResult {
+	st.prepare(pp, b0, nb)
 	if st.p.zeroDelay {
 		st.runZero(pp, b0)
 	} else {
@@ -273,23 +294,32 @@ func (st *Striped) Run(pp *PackedPairs, stripe int) *StripedResult {
 	return &st.res
 }
 
-// prepare validates the stripe, derives the active word count, and
-// reshapes the run state to it — the shared preamble of Run and the
-// speculative engine (which borrows this executor's settle kernel,
-// counter planes, and result aggregation).
-func (st *Striped) prepare(pp *PackedPairs, stripe int) int {
+// stripeRange maps a stripe index to its block range: W blocks from
+// stripe·W, clipped to the batch.
+func (st *Striped) stripeRange(pp *PackedPairs, stripe int) (b0, nb int) {
+	w := st.p.w
+	blocks := pp.Blocks()
+	b0 = stripe * w
+	if stripe < 0 || b0 >= blocks {
+		panic(fmt.Sprintf("sim: stripe %d of %d-block batch", stripe, blocks))
+	}
+	return b0, min(w, blocks-b0)
+}
+
+// prepare validates the block range b0 … b0+aw−1, whose length is the
+// active word count, and reshapes the run state to it — the shared
+// preamble of RunBlocks and the speculative engine (which borrows this
+// executor's settle kernel, counter planes, and result aggregation).
+func (st *Striped) prepare(pp *PackedPairs, b0, aw int) {
 	p := st.p
 	if pp.Inputs != p.c.NumInputs() {
 		panic(fmt.Sprintf("sim: packed batch width %d, circuit has %d inputs", pp.Inputs, p.c.NumInputs()))
 	}
-	blocks := pp.Blocks()
-	b0 := stripe * p.w
-	if stripe < 0 || b0 >= blocks {
-		panic(fmt.Sprintf("sim: stripe %d of %d-block batch", stripe, blocks))
+	if blocks := pp.Blocks(); b0 < 0 || aw < 1 || aw > p.w || b0+aw > blocks {
+		panic(fmt.Sprintf("sim: blocks [%d, %d) of %d-block batch at stripe width %d", b0, b0+aw, blocks, p.w))
 	}
-	aw := blocks - b0
-	if aw > p.w {
-		aw = p.w
+	if aw > st.words {
+		st.grow(aw)
 	}
 	st.aw = aw
 	st.stride = p.nLive * aw
@@ -326,7 +356,6 @@ func (st *Striped) prepare(pp *PackedPairs, stripe int) int {
 		}
 		st.lastAW = aw
 	}
-	return b0
 }
 
 // loadInputs gathers the stripe's input plane words (blocks b0…b0+aw−1)

@@ -18,9 +18,37 @@ func packVectors(inputs int, v1s, v2s [][]bool) *PackedPairs {
 	return &pp
 }
 
+// blockRange is one RunBlocks call: nb blocks from block b0.
+type blockRange struct{ b0, nb int }
+
+// stripeRanges covers a batch stripe by stripe, as Run addresses it.
+func stripeRanges(blocks, width int) []blockRange {
+	var out []blockRange
+	for b0 := 0; b0 < blocks; b0 += width {
+		out = append(out, blockRange{b0, min(width, blocks-b0)})
+	}
+	return out
+}
+
+// raggedRanges covers a batch with block ranges of cycling widths (1, W,
+// W−3, 2), so that most ranges start at a block that is not a multiple
+// of the stripe width — the shapes a balanced worker partition produces.
+func raggedRanges(blocks, width int) []blockRange {
+	var out []blockRange
+	widths := []int{1, width, max(1, width-3), 2}
+	for b0, i := 0, 0; b0 < blocks; i++ {
+		nb := min(widths[i%len(widths)], width, blocks-b0)
+		out = append(out, blockRange{b0, nb})
+		b0 += nb
+	}
+	return out
+}
+
 // diffStriped compares every lane of every stripe of a packed batch
 // against the scalar oracle — toggle counts, Any, settle time, events.
-func diffStriped(t *testing.T, c *netlist.Circuit, m delay.Model, width, lanes int, seed uint64) {
+// ragged runs the batch as raggedRanges through RunBlocks instead of
+// stripe by stripe through Run.
+func diffStriped(t *testing.T, c *netlist.Circuit, m delay.Model, width, lanes int, seed uint64, ragged bool) {
 	t.Helper()
 	s := New(c, m)
 	p := CompileModel(c, m, CompileOptions{Width: width})
@@ -31,16 +59,24 @@ func diffStriped(t *testing.T, c *netlist.Circuit, m delay.Model, width, lanes i
 	v1s := xorshiftVectors(lanes, c.NumInputs(), seed)
 	v2s := xorshiftVectors(lanes, c.NumInputs(), seed+1)
 	pp := packVectors(c.NumInputs(), v1s, v2s)
-	stripeLanes := p.StripeLanes()
+	ranges := stripeRanges(pp.Blocks(), width)
+	if ragged {
+		ranges = raggedRanges(pp.Blocks(), width)
+	}
 	var dst []int32
-	for stripe := 0; stripe*stripeLanes < lanes; stripe++ {
-		r := st.Run(pp, stripe)
-		active := lanes - stripe*stripeLanes
-		if active > r.AW*64 {
-			active = r.AW * 64
+	for i, br := range ranges {
+		var r *StripedResult
+		if ragged {
+			r = st.RunBlocks(pp, br.b0, br.nb)
+		} else {
+			r = st.Run(pp, i)
 		}
+		if r.AW != br.nb {
+			t.Fatalf("blocks [%d, %d): AW %d", br.b0, br.b0+br.nb, r.AW)
+		}
+		active := min(lanes-br.b0*64, r.AW*64)
 		for l := 0; l < active; l++ {
-			li := stripe*stripeLanes + l
+			li := br.b0*64 + l
 			want := s.RunCycle(v1s[li], v2s[li])
 			word, bit := l/64, l%64
 			dst = r.Toggles(word, bit, dst)
@@ -92,9 +128,13 @@ func TestStripedDifferentialScalar(t *testing.T) {
 			t.Run(name+"/"+m.Name(), func(t *testing.T) {
 				// 300 pairs = 5 blocks: one partial stripe at width 8
 				// (aw = 5), the estimator's production shape.
-				diffStriped(t, c, m, 8, 300, 7)
+				diffStriped(t, c, m, 8, 300, 7, false)
 				// Width 2: multiple stripes with a ragged final word.
-				diffStriped(t, c, m, 2, 200, 11)
+				diffStriped(t, c, m, 2, 200, 11, false)
+				// Block ranges at offsets that are not multiples of the
+				// width, as the worker partition cuts them.
+				diffStriped(t, c, m, 8, 600, 13, true)
+				diffStriped(t, c, m, 4, 1100, 17, true)
 			})
 		}
 	}

@@ -10,19 +10,23 @@ import (
 )
 
 // evalEngine is the shared simulation backend of Build and
-// StreamSource.SampleBatch: it evaluates a slice of vector pairs into a
-// slice of cycle powers across a bounded worker pool, 64 pairs per
-// lane-packed pass — the bit-parallel settle engine for zero-delay models,
-// the word-level event-driven TimedBatch for every timed one. Each worker
-// slot owns a cloned evaluator, so the lane-packed engine (and its
-// per-clone scratch state) is built once and reused across calls.
+// StreamSource: it evaluates a packed batch of vector pairs into a slice
+// of cycle powers across a bounded worker pool. The batch's 64-lane
+// blocks are split evenly over the workers, and each worker runs its
+// share as compiled stripes — the speculative settle-then-patch kernel
+// on timed models, the settle kernel under zero delay — or block by block
+// when kernels are off. Each worker slot owns a cloned evaluator, so the
+// kernel executors (and their per-clone scratch state) are built once and
+// reused across calls.
 //
-// Determinism: powers[i] depends only on pairs[i], and every write lands
-// at its own index, so the output is bit-identical for any worker count
-// and any goroutine schedule.
+// Determinism: powers[i] depends only on pair i, and every write lands
+// at its own index, so the output is bit-identical for any worker count,
+// any partition, and any goroutine schedule.
 type evalEngine struct {
 	workers int
 	evals   []*power.Evaluator // one clone per worker slot
+	errs    []error            // per-worker outcome of the last call
+	wg      sync.WaitGroup
 }
 
 // newEvalEngine clones eval into workers independent evaluators
@@ -31,7 +35,7 @@ func newEvalEngine(eval *power.Evaluator, workers int) *evalEngine {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	e := &evalEngine{workers: workers, evals: make([]*power.Evaluator, workers)}
+	e := &evalEngine{workers: workers, evals: make([]*power.Evaluator, workers), errs: make([]error, workers)}
 	for i := range e.evals {
 		e.evals[i] = eval.Clone()
 	}
@@ -50,60 +54,19 @@ func (e *evalEngine) specStats() sim.SpecStats {
 	return agg
 }
 
-// evaluate fills powers[i] with the cycle power (mW) of pairs[i]. The two
-// slices must have equal length. The first simulation error is returned;
-// indices whose chunk errored are left untouched.
-func (e *evalEngine) evaluate(pairs []Pair, powers []float64) error {
-	if len(pairs) != len(powers) {
-		return fmt.Errorf("vectorgen: %d pairs but %d power slots", len(pairs), len(powers))
-	}
-	n := len(pairs)
-	if n == 0 {
-		return nil
-	}
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		return evalChunk(e.evals[0], pairs, powers)
-	}
-	chunk := (n + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = evalChunk(e.evals[w], pairs[lo:hi], powers[lo:hi])
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // evaluatePacked fills powers[i] with the cycle power (mW) of pp's pair
-// i — the packed twin of evaluate, and the pipeline's native path: the
-// planes feed the lane engines directly, so no [][]bool and no per-call
-// transpose exist anywhere under it. Work is chunked across the worker
-// pool at 64-pair block granularity (each worker owns whole blocks, so
-// every write still lands at its own index and results stay bit-identical
-// for any worker count). The single-worker path runs inline and performs
-// zero heap allocations in steady state; multi-worker calls pay only the
-// goroutine fan-out.
+// i — the pipeline's native path: the planes feed the lane engines
+// directly, so no [][]bool and no per-call transpose exist anywhere under
+// it. The blocks are partitioned evenly over the workers (a 5-block
+// batch on two workers runs 3+2 instead of all 5 on one worker; 10
+// blocks run 5+5, not one full stripe plus a 2-block tail), and each
+// worker cuts its share into even stripes of at most StripeWords words.
+// Every write lands at its own index, so results stay bit-identical for
+// any worker count.
+// The calling goroutine runs the first share itself, so a single worker
+// starts no goroutine and performs zero heap allocations in steady
+// state; more workers pay only the goroutine fan-out. An engine serves
+// one call at a time.
 func (e *evalEngine) evaluatePacked(pp *sim.PackedPairs, powers []float64) error {
 	if pp.N != len(powers) {
 		return fmt.Errorf("vectorgen: %d packed pairs but %d power slots", pp.N, len(powers))
@@ -111,40 +74,14 @@ func (e *evalEngine) evaluatePacked(pp *sim.PackedPairs, powers []float64) error
 	if pp.N == 0 {
 		return nil
 	}
-	// The work unit is one engine pass: a 64-lane block on the interpreted
-	// path, a StripeWords-block stripe on the compiled path (StripeWords
-	// reports 1 when kernels are off, so the chunking math is shared).
-	// Workers own whole units either way, so every write lands at its own
-	// index and results stay bit-identical for any worker count.
-	span := e.evals[0].StripeWords()
-	units := (pp.Blocks() + span - 1) / span
-	workers := e.workers
-	if workers > units {
-		workers = units
+	workers := min(e.workers, pp.Blocks())
+	e.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go e.share(w, workers, pp, powers)
 	}
-	if workers == 1 {
-		return evalUnits(e.evals[0], pp, 0, units, powers)
-	}
-	chunk := (units + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > units {
-			hi = units
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = evalUnits(e.evals[w], pp, lo, hi, powers)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	e.share(0, workers, pp, powers)
+	e.wg.Wait()
+	for _, err := range e.errs[:workers] {
 		if err != nil {
 			return err
 		}
@@ -152,21 +89,28 @@ func (e *evalEngine) evaluatePacked(pp *sim.PackedPairs, powers []float64) error
 	return nil
 }
 
-// evalUnits evaluates work units [lo, hi) of pp into their power slots
-// through one worker's evaluator — compiled stripes when the evaluator
-// has kernels enabled, single 64-lane blocks otherwise.
-func evalUnits(ev *power.Evaluator, pp *sim.PackedPairs, lo, hi int, powers []float64) error {
+// share evaluates worker w's even share of pp's blocks into their power
+// slots, records the outcome in errs[w], and marks the worker done.
+func (e *evalEngine) share(w, workers int, pp *sim.PackedPairs, powers []float64) {
+	defer e.wg.Done()
+	blocks := pp.Blocks()
+	e.errs[w] = evalShare(e.evals[w], pp, w*blocks/workers, (w+1)*blocks/workers, powers)
+}
+
+// evalShare evaluates blocks [lo, hi) of pp into their power slots
+// through one worker's evaluator — as even compiled stripes of at most
+// StripeWords blocks when the evaluator has kernels enabled, single
+// 64-lane blocks otherwise.
+func evalShare(ev *power.Evaluator, pp *sim.PackedPairs, lo, hi int, powers []float64) error {
 	if !ev.KernelsEnabled() {
 		return evalBlocks(ev, pp, lo, hi, powers)
 	}
-	sl := ev.StripeWords() * 64
-	for s := lo; s < hi; s++ {
-		b0 := s * sl
-		end := b0 + sl
-		if end > pp.N {
-			end = pp.N
-		}
-		if err := ev.PackedStripeMW(pp, s, powers[b0:end]); err != nil {
+	width := ev.StripeWords()
+	share := hi - lo
+	stripes := (share + width - 1) / width
+	for j := 0; j < stripes; j++ {
+		b0, b1 := lo+j*share/stripes, lo+(j+1)*share/stripes
+		if err := ev.PackedBlockRangeMW(pp, b0, b1-b0, powers[b0*64:min(pp.N, b1*64)]); err != nil {
 			return fmt.Errorf("vectorgen: compiled stripe evaluation: %w", err)
 		}
 	}
@@ -181,34 +125,6 @@ func evalBlocks(ev *power.Evaluator, pp *sim.PackedPairs, lo, hi int, powers []f
 		if err := ev.PackedBlockMW(in1, in2, powers[b*64:b*64+lanes]); err != nil {
 			return fmt.Errorf("vectorgen: packed evaluation: %w", err)
 		}
-	}
-	return nil
-}
-
-// evalChunk evaluates one worker's contiguous share, 64 pairs per
-// lane-packed pass: every delay model goes through power.BatchMW (the
-// bit-parallel settle engine under zero delay, the event-driven TimedBatch
-// otherwise). Both engines guarantee results bit-identical to per-pair
-// CyclePowerMW calls, so that scalar path survives only as the
-// verification oracle (differential tests, StreamSource error recovery).
-func evalChunk(ev *power.Evaluator, pairs []Pair, powers []float64) error {
-	v1s := make([][]bool, 0, 64)
-	v2s := make([][]bool, 0, 64)
-	for base := 0; base < len(pairs); base += 64 {
-		end := base + 64
-		if end > len(pairs) {
-			end = len(pairs)
-		}
-		v1s, v2s = v1s[:0], v2s[:0]
-		for i := base; i < end; i++ {
-			v1s = append(v1s, pairs[i].V1)
-			v2s = append(v2s, pairs[i].V2)
-		}
-		batch, err := ev.BatchMW(v1s, v2s)
-		if err != nil {
-			return fmt.Errorf("vectorgen: lane-packed evaluation: %w", err)
-		}
-		copy(powers[base:end], batch)
 	}
 	return nil
 }

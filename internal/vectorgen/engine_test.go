@@ -6,6 +6,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/delay"
 	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -142,13 +143,10 @@ func TestEvalEngineLengthMismatch(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	eval := power.NewEvaluator(c, delay.Zero{}, power.Params{})
 	eng := newEvalEngine(eval, 2)
-	pairs := make([]Pair, 3)
-	rng := stats.NewRNG(1)
-	gen := Uniform{N: c.NumInputs()}
-	for i := range pairs {
-		pairs[i] = gen.Generate(rng)
-	}
-	if err := eng.evaluate(pairs, make([]float64, 2)); err == nil {
+	var pp sim.PackedPairs
+	pp.Reset(c.NumInputs(), 3)
+	GeneratePacked(Uniform{N: c.NumInputs()}, stats.NewRNG(1), &pp)
+	if err := eng.evaluatePacked(&pp, make([]float64, 2)); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }

@@ -22,9 +22,11 @@ import (
 // It also implements evt.BatchSource: SampleBatch generates the batch's
 // pairs sequentially from the RNG (so the random stream is consumed
 // exactly as the same number of SamplePower calls would consume it) and
-// then simulates them across Workers parallel evaluators, through the
-// 64-lane bit-parallel settle path when the delay model is zero-delay.
-// Results are bit-identical to the scalar path for any worker count.
+// then simulates them across Workers parallel evaluators — the batch's
+// 64-lane blocks split evenly over the workers, each share run as
+// compiled stripes (the speculative settle-then-patch kernel on timed
+// models, the settle kernel under zero delay). Results are bit-identical
+// to the scalar path for any worker count.
 //
 // StreamSource is safe for sequential use only (like the estimator
 // itself); the underlying evaluator is cloned per instance.
