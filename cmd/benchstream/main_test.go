@@ -55,6 +55,18 @@ func TestCheckAgainst(t *testing.T) {
 		t.Fatalf("sub-floor growth rejected: %v", err)
 	}
 
+	// A baseline variant of a measured circuit with no measured
+	// counterpart is lost coverage, not a pass; baseline variants of
+	// circuits this run did not measure are skipped.
+	dropped := []Variant{{Circuit: "C3540", Model: "zero", BytesPerOp: 1000}}
+	err = checkAgainst(base, dropped)
+	if err == nil {
+		t.Fatal("baseline variant C3540/fanout missing from the run accepted")
+	}
+	if !strings.Contains(err.Error(), "C3540/fanout") || strings.Contains(err.Error(), "C432") {
+		t.Fatalf("missing-variant error names the wrong variants: %v", err)
+	}
+
 	if err := checkAgainst(filepath.Join(t.TempDir(), "missing.json"), ok); err == nil {
 		t.Fatal("missing baseline accepted")
 	}

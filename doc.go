@@ -6,9 +6,9 @@
 // vector-pair populations, hand-written statistics, the reverse-Weibull
 // MLE, and the EVT estimator itself). Sampling is batched end to end:
 // sources implementing evt.BatchSource supply each hyper-sample's m·n
-// unit powers in one call, simulated bit-parallel (64 pairs per settle
-// pass on zero-delay models) across a worker pool, bit-identical to the
-// scalar path for any worker count. maxpowerd serves estimation jobs over
+// unit powers in one call, simulated on the compiled speculative kernel
+// (up to 512 pairs per stripe on every delay model) across a worker pool,
+// bit-identical to the scalar path for any worker count. maxpowerd serves estimation jobs over
 // JSON/HTTP with per-job worker budgets. See README.md for a tour,
 // DESIGN.md for the system inventory, and EXPERIMENTS.md for the
 // paper-vs-measured comparison. The benchmarks in bench_test.go

@@ -21,44 +21,44 @@ func kernelPattern(nIn int, seed uint64) []bool {
 	return v
 }
 
+// batchMW evaluates a whole packed batch stripe by stripe into out.
+func batchMW(e *Evaluator, pp *sim.PackedPairs, out []float64) error {
+	sl := e.StripeWords() * 64
+	for b0 := 0; b0 < pp.N; b0 += sl {
+		if err := e.PackedStripeMW(pp, b0/sl, out[b0:min(pp.N, b0+sl)]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestKernelBatchMatchesSerial is the power-level differential for the
-// compiled striped path: with UseKernels on, BatchMWPacked must produce
-// bit-identical powers to per-pair CyclePowerMW on all four delay
-// models, across multi-stripe batches with a ragged tail — the same
-// contract the interpreted packed path carries.
+// batch engine: whole packed batches must produce bit-identical powers to
+// per-pair CyclePowerMW on all four delay models, across multi-stripe
+// batches with a ragged tail.
 func TestKernelBatchMatchesSerial(t *testing.T) {
 	c := bench.MustGenerate("C880")
 	nIn := c.NumInputs()
-	const n = 300 // 5 blocks: one partial stripe, the estimator's shape
-	models := []delay.Model{delay.Zero{}, delay.Unit{}, delay.FanoutLoaded{}, delay.StandardTable()}
-	for _, m := range models {
-		e := NewEvaluator(c, m, Params{})
-		e.UseKernels(nil, "")
-		oracle := NewEvaluator(c, m, Params{})
-		var pp sim.PackedPairs
-		pp.Reset(nIn, n)
-		v1s := make([][]bool, n)
-		v2s := make([][]bool, n)
-		for i := 0; i < n; i++ {
-			v1s[i] = kernelPattern(nIn, uint64(9*i+1))
-			v2s[i] = kernelPattern(nIn, uint64(9*i+5))
-			pp.SetPair(i, v1s[i], v2s[i])
-		}
-		out := make([]float64, n)
-		if err := e.BatchMWPacked(&pp, out); err != nil {
-			t.Fatal(err)
-		}
-		interp := make([]float64, n)
-		if err := oracle.BatchMWPacked(&pp, interp); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			want := oracle.CyclePowerMW(v1s[i], v2s[i])
-			if out[i] != want {
-				t.Fatalf("%s pair %d: kernel %v serial %v", m.Name(), i, out[i], want)
+	for _, n := range []int{150, 300, 1100} { // partial block, partial stripe, multi-stripe
+		for _, m := range []delay.Model{delay.Zero{}, delay.Unit{}, delay.FanoutLoaded{}, delay.StandardTable()} {
+			e := NewEvaluator(c, m, Params{})
+			var pp sim.PackedPairs
+			pp.Reset(nIn, n)
+			v1s := make([][]bool, n)
+			v2s := make([][]bool, n)
+			for i := 0; i < n; i++ {
+				v1s[i] = kernelPattern(nIn, uint64(9*i+1))
+				v2s[i] = kernelPattern(nIn, uint64(9*i+5))
+				pp.SetPair(i, v1s[i], v2s[i])
 			}
-			if interp[i] != want {
-				t.Fatalf("%s pair %d: interpreted %v serial %v", m.Name(), i, interp[i], want)
+			out := make([]float64, n)
+			if err := batchMW(e, &pp, out); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if want := e.CyclePowerMW(v1s[i], v2s[i]); out[i] != want {
+					t.Fatalf("%s n=%d pair %d: batch %v serial %v", m.Name(), n, i, out[i], want)
+				}
 			}
 		}
 	}
@@ -71,9 +71,9 @@ func TestKernelCacheSharing(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	kc := sim.NewProgramCache(4)
 	a := NewEvaluator(c, delay.FanoutLoaded{}, Params{})
-	a.UseKernels(kc, "C432/fanout")
+	a.UseSpeculative(kc, "C432/fanout")
 	b := NewEvaluator(c, delay.FanoutLoaded{}, Params{})
-	b.UseKernels(kc, "C432/fanout")
+	b.UseSpeculative(kc, "C432/fanout")
 	if a.StripeWords() != sim.DefaultStripeWords || b.StripeWords() != a.StripeWords() {
 		t.Fatalf("stripe widths %d/%d", a.StripeWords(), b.StripeWords())
 	}
@@ -82,78 +82,68 @@ func TestKernelCacheSharing(t *testing.T) {
 		t.Fatalf("two evaluators, one key: hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
 	}
 	cl := a.Clone()
-	if !cl.KernelsEnabled() {
-		t.Fatal("clone dropped the kernel configuration")
+	if cl.Program() != a.Program() {
+		t.Fatal("clone does not share the parent's program")
 	}
-	cl.StripeWords() // must not touch the cache: the program is inherited
-	if st := kc.Stats(); st.Misses != 1 {
-		t.Fatalf("clone recompiled (misses=%d)", st.Misses)
+	if st := kc.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("clone went back to the cache (hits=%d misses=%d)", st.Hits, st.Misses)
 	}
 	u := NewEvaluator(c, delay.Unit{}, Params{})
-	u.UseKernels(kc, "C432/unit")
+	u.UseSpeculative(kc, "C432/unit")
 	u.StripeWords()
 	if st := kc.Stats(); st.Misses != 2 {
 		t.Fatalf("second delay model did not compile its own program (misses=%d)", st.Misses)
 	}
 }
 
-// TestKernelStripeZeroAlloc guards the compiled and speculative steady
-// states: a warm striped evaluation of a full multi-word stripe
-// allocates nothing, whichever executor runs it.
+// TestKernelStripeZeroAlloc guards the batch engine's steady state: a
+// warm evaluation of a full multi-word stripe allocates nothing, on the
+// settle kernel and on the timed kernel alike.
 func TestKernelStripeZeroAlloc(t *testing.T) {
 	c := bench.MustGenerate("C432")
-	engines := []struct {
-		name   string
-		enable func(e *Evaluator)
-	}{
-		{"compiled", func(e *Evaluator) { e.UseKernels(nil, "") }},
-		{"speculative", func(e *Evaluator) { e.UseSpeculative(nil, "") }},
-	}
-	for _, eng := range engines {
-		for _, m := range []delay.Model{delay.Zero{}, delay.FanoutLoaded{}} {
-			e := NewEvaluator(c, m, Params{})
-			eng.enable(e)
-			const n = 300
-			var pp sim.PackedPairs
-			pp.Reset(c.NumInputs(), n)
-			for i := 0; i < n; i++ {
-				pp.SetPair(i, kernelPattern(c.NumInputs(), uint64(i+1)), kernelPattern(c.NumInputs(), uint64(i+500)))
-			}
-			out := make([]float64, n)
-			if err := e.BatchMWPacked(&pp, out); err != nil {
-				t.Fatal(err) // warm: compile + grow toggle planes
-			}
-			if err := e.BatchMWPacked(&pp, out); err != nil {
+	for _, m := range []delay.Model{delay.Zero{}, delay.FanoutLoaded{}} {
+		e := NewEvaluator(c, m, Params{})
+		const n = 300
+		var pp sim.PackedPairs
+		pp.Reset(c.NumInputs(), n)
+		for i := 0; i < n; i++ {
+			pp.SetPair(i, kernelPattern(c.NumInputs(), uint64(i+1)), kernelPattern(c.NumInputs(), uint64(i+500)))
+		}
+		out := make([]float64, n)
+		if err := e.PackedStripeMW(&pp, 0, out); err != nil {
+			t.Fatal(err) // warm: compile + grow toggle planes
+		}
+		if err := e.PackedStripeMW(&pp, 0, out); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := e.PackedStripeMW(&pp, 0, out); err != nil {
 				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(10, func() {
-				if err := e.BatchMWPacked(&pp, out); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("%s/%s: kernel BatchMWPacked allocated %v/op, want 0", eng.name, m.Name(), allocs)
-			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: PackedStripeMW allocated %v/op, want 0", m.Name(), allocs)
 		}
 	}
 }
 
 // TestKernelStripeShapeValidation: PackedStripeMW rejects wrong-shaped
-// out slices and refuses to run without UseKernels.
+// out slices, out-of-range stripes, and batches of the wrong width.
 func TestKernelStripeShapeValidation(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	e := NewEvaluator(c, delay.FanoutLoaded{}, Params{})
 	var pp sim.PackedPairs
 	pp.Reset(c.NumInputs(), 100)
-	if err := e.PackedStripeMW(&pp, 0, make([]float64, 100)); err == nil {
-		t.Fatal("PackedStripeMW ran without UseKernels")
-	}
-	e.UseKernels(nil, "")
 	if err := e.PackedStripeMW(&pp, 0, make([]float64, 64)); err == nil {
 		t.Fatal("short out slice accepted")
 	}
 	if err := e.PackedStripeMW(&pp, 1, make([]float64, 100)); err == nil {
 		t.Fatal("out-of-range stripe accepted")
+	}
+	var wide sim.PackedPairs
+	wide.Reset(c.NumInputs()+1, 100)
+	if err := e.PackedStripeMW(&wide, 0, make([]float64, 100)); err == nil {
+		t.Fatal("width mismatch accepted")
 	}
 	if err := e.PackedStripeMW(&pp, 0, make([]float64, 100)); err != nil {
 		t.Fatal(err)
@@ -162,16 +152,13 @@ func TestKernelStripeShapeValidation(t *testing.T) {
 
 // TestKernelBlockRangeShapeValidation: PackedBlockRangeMW accepts any
 // in-bounds range up to one stripe wide, at any block offset, and
-// rejects empty, over-wide, out-of-range, and wrong-shaped requests.
+// rejects empty, over-wide, out-of-range, wrong-shaped, and wrong-width
+// requests with an error, never a panic.
 func TestKernelBlockRangeShapeValidation(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	e := NewEvaluator(c, delay.FanoutLoaded{}, Params{})
 	var pp sim.PackedPairs
 	pp.Reset(c.NumInputs(), 600) // 10 blocks, the last one 24 lanes
-	if err := e.PackedBlockRangeMW(&pp, 0, 1, make([]float64, 64)); err == nil {
-		t.Fatal("PackedBlockRangeMW ran without UseKernels")
-	}
-	e.UseSpeculative(nil, "")
 	w := e.StripeWords()
 	for _, bad := range []struct{ b0, nb, out int }{
 		{0, 0, 0},
@@ -183,6 +170,13 @@ func TestKernelBlockRangeShapeValidation(t *testing.T) {
 	} {
 		if err := e.PackedBlockRangeMW(&pp, bad.b0, bad.nb, make([]float64, bad.out)); err == nil {
 			t.Errorf("blocks [%d, %d) into %d slots accepted", bad.b0, bad.b0+bad.nb, bad.out)
+		}
+	}
+	for _, inputs := range []int{c.NumInputs() - 1, c.NumInputs() + 1} {
+		var other sim.PackedPairs
+		other.Reset(inputs, 600)
+		if err := e.PackedBlockRangeMW(&other, 3, 2, make([]float64, 128)); err == nil {
+			t.Errorf("packed batch of width %d accepted by a %d-input circuit", inputs, c.NumInputs())
 		}
 	}
 	for _, ok := range []struct{ b0, nb, out int }{

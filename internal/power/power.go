@@ -118,29 +118,16 @@ type Evaluator struct {
 	clockS  float64 // clock period, seconds
 	glitch  float64 // per-extra-toggle energy scale (partial swing)
 
-	batch *sim.BitParallel // lazily created 64-lane settle engine (zero delay)
-	timed *sim.TimedBatch  // lazily created 64-lane timed engine (glitch-aware)
-
-	// Compiled-kernel state (UseKernels): the immutable program is shared
-	// across clones and — through the cache — across evaluators for the
-	// same (circuit, delay model); the striped executor is per-instance
-	// mutable run state, built lazily like batch/timed.
-	useKernels bool
-	kernels    *sim.ProgramCache
-	kernelKey  string
-	prog       *sim.Program
-	striped    *sim.Striped
-	// speculate selects the settle-then-patch executor for kernel
-	// stripes; spec is its lazily built per-instance run state (it owns
-	// a wheel of its own for per-stripe misprediction fallback).
-	speculate bool
+	// Batch engine state: the immutable compiled program is shared
+	// across clones and — through the cache, when UseSpeculative attached
+	// one — across evaluators for the same (circuit, delay model); spec
+	// is per-instance mutable run state, built lazily on the first batch
+	// (it owns an event wheel of its own for per-stripe misprediction
+	// fallback).
+	kernels   *sim.ProgramCache
+	kernelKey string
+	prog      *sim.Program
 	spec      *sim.Speculative
-
-	// pack1/pack2 are the [][]bool-adapter pack scratch, reused across
-	// calls so the legacy batch entry points stop allocating per call.
-	// The packed core never touches them: callers of the packed APIs own
-	// their planes (one PackedPairs per source, reused per batch).
-	pack1, pack2 []uint64
 }
 
 // NewEvaluator builds an evaluator for the circuit under a delay model and
@@ -181,62 +168,34 @@ func NewEvaluator(c *netlist.Circuit, m delay.Model, p Params) *Evaluator {
 // run from many clones at once (each clone builds its own executor).
 func (e *Evaluator) Clone() *Evaluator {
 	return &Evaluator{
-		simulator:  e.simulator.Clone(),
-		params:     e.params,
-		energyW:    e.energyW,
-		leakW:      e.leakW,
-		clockS:     e.clockS,
-		glitch:     e.glitch,
-		useKernels: e.useKernels,
-		kernels:    e.kernels,
-		kernelKey:  e.kernelKey,
-		prog:       e.prog,
-		speculate:  e.speculate,
+		simulator: e.simulator.Clone(),
+		params:    e.params,
+		energyW:   e.energyW,
+		leakW:     e.leakW,
+		clockS:    e.clockS,
+		glitch:    e.glitch,
+		kernels:   e.kernels,
+		kernelKey: e.kernelKey,
+		prog:      e.prog,
 	}
 }
 
-// UseKernels switches the packed batch entry points onto the compiled
-// multi-word striped engine. cache, when non-nil, deduplicates the
-// compile under key (the service keys on circuit identity + delay model);
-// a nil cache compiles privately on first use. Either way results stay
-// bit-identical to the interpreted per-block path — the engine's
-// differential tests guarantee it against the scalar oracle.
-func (e *Evaluator) UseKernels(cache *sim.ProgramCache, key string) {
-	e.useKernels = true
+// UseSpeculative attaches a shared ProgramCache: the batch engine's
+// compile is deduplicated under key (the service keys on circuit identity
+// + delay model) across every evaluator using the same cache. A nil
+// cache compiles privately on first use. It selects nothing else — every
+// evaluator runs its batches on the speculative kernel — and keeps its
+// name because perfbench/ is built against it.
+func (e *Evaluator) UseSpeculative(cache *sim.ProgramCache, key string) {
 	e.kernels = cache
 	e.kernelKey = key
 	e.prog = nil
-	e.striped = nil
-	e.speculate = false
 	e.spec = nil
 }
-
-// KernelsEnabled reports whether the compiled striped engine is active.
-func (e *Evaluator) KernelsEnabled() bool { return e.useKernels }
-
-// UseSpeculative is UseKernels with the speculative settle-then-patch
-// executor selected for timed stripes: phase 1 settles both vectors on
-// the zero-delay compiled path, phase 2 patches toggle counts from
-// compile-time hazard analysis and per-gate-word waveform merges, and
-// any gate-word whose final waveform value disagrees with the settled
-// vector sends that stripe to the full event wheel. Results stay
-// bit-identical to the wheel — and so to the scalar oracle — on every
-// delay model (the misprediction check is exact, not heuristic); only
-// the execution strategy and speed change. Zero-delay programs are
-// unaffected (settling already is the whole computation there).
-func (e *Evaluator) UseSpeculative(cache *sim.ProgramCache, key string) {
-	e.UseKernels(cache, key)
-	e.speculate = true
-	e.spec = nil
-}
-
-// SpeculationEnabled reports whether kernel stripes run on the
-// settle-then-patch executor.
-func (e *Evaluator) SpeculationEnabled() bool { return e.useKernels && e.speculate }
 
 // SpecStats returns this evaluator's cumulative speculation counters
-// (zero when the speculative executor is off or not yet built). Clones
-// count independently; sum across a worker pool for run totals.
+// (zero before the first batch). Clones count independently; sum across
+// a worker pool for run totals.
 func (e *Evaluator) SpecStats() sim.SpecStats {
 	if e.spec == nil {
 		return sim.SpecStats{}
@@ -244,10 +203,13 @@ func (e *Evaluator) SpecStats() sim.SpecStats {
 	return e.spec.Stats()
 }
 
-// program resolves the compiled program, through the shared cache when
-// one was provided. Delays come from the simulator's own assignment, so
-// the compiled kernel is oracle-exact by construction.
-func (e *Evaluator) program() *sim.Program {
+// Program resolves the batch engine's compiled program, through the
+// shared cache when one was attached, compiling it on first use. Delays
+// come from the simulator's own assignment, so the compiled kernel is
+// oracle-exact by construction. Clones made after the first call share
+// the program; clones made before it resolve their own, which compiles
+// again when no cache is attached.
+func (e *Evaluator) Program() *sim.Program {
 	if e.prog != nil {
 		return e.prog
 	}
@@ -265,15 +227,10 @@ func (e *Evaluator) program() *sim.Program {
 	return e.prog
 }
 
-// StripeWords returns the active kernel's stripe width in 64-lane words
-// (1 when kernels are disabled — the interpreted path works block by
-// block). Worker pools split packed batches at this granularity.
-func (e *Evaluator) StripeWords() int {
-	if !e.useKernels {
-		return 1
-	}
-	return e.program().StripeWords()
-}
+// StripeWords returns the batch engine's stripe width in 64-lane words,
+// compiling the program on first use. Worker pools split packed batches
+// at this granularity.
+func (e *Evaluator) StripeWords() int { return e.Program().StripeWords() }
 
 // Circuit returns the evaluated circuit.
 func (e *Evaluator) Circuit() *netlist.Circuit { return e.simulator.Circuit() }
@@ -312,199 +269,16 @@ func (e *Evaluator) CyclePowerMW(v1, v2 []bool) float64 {
 }
 
 // ZeroDelay reports whether the evaluator's delay model is glitch-free
-// (all gate delays zero), which enables the bit-parallel batch path.
+// (all gate delays zero), which compiles the batch engine to its settle
+// kernel.
 func (e *Evaluator) ZeroDelay() bool { return e.simulator.ZeroDelay() }
 
-// ZeroDelayBatchMW evaluates up to 64 vector pairs in one pass using the
-// 64-lane bit-parallel engine and returns their cycle powers in mW. It
-// requires a zero-delay evaluator (the timed path cannot be lane-packed);
-// results are bit-identical to calling CyclePowerMW per pair. It is a
-// thin [][]bool adapter over the packed core (zeroDelayBlockMW).
-func (e *Evaluator) ZeroDelayBatchMW(v1s, v2s [][]bool) ([]float64, error) {
-	if !e.ZeroDelay() {
-		return nil, fmt.Errorf("power: batch evaluation requires the zero-delay model")
-	}
-	if len(v1s) != len(v2s) {
-		return nil, fmt.Errorf("power: %d first vectors vs %d second", len(v1s), len(v2s))
-	}
-	if e.batch == nil {
-		e.batch = sim.NewBitParallel(e.Circuit())
-	}
-	var err error
-	if e.pack1, err = e.batch.PackInputsInto(e.pack1, v1s); err != nil {
-		return nil, err
-	}
-	if e.pack2, err = e.batch.PackInputsInto(e.pack2, v2s); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(v1s))
-	e.zeroDelayBlockMW(e.pack1, e.pack2, out)
-	return out, nil
-}
-
-// zeroDelayBlockMW is the packed zero-delay core: one 64-lane block of
-// pre-packed bit planes (one word per primary input) in, len(out) ≤ 64
-// lane powers (mW) out, zero heap allocations in steady state. The energy
-// accumulation visits gates in ascending order with one add per toggled
-// gate, so every lane's float64 sum is bit-identical to the scalar
-// energyOf path.
-func (e *Evaluator) zeroDelayBlockMW(in1, in2 []uint64, out []float64) {
-	if e.batch == nil {
-		e.batch = sim.NewBitParallel(e.Circuit())
-	}
-	masks := e.batch.CycleDiff(in1, in2)
-	for i := range out {
-		out[i] = 0
-	}
-	for g, w := range masks {
-		if w == 0 {
-			continue
-		}
-		eg := e.energyW[g]
-		for w != 0 {
-			lane := bits.TrailingZeros64(w)
-			w &= w - 1
-			if lane < len(out) {
-				out[lane] += eg
-			}
-		}
-	}
-	for i := range out {
-		out[i] = (out[i]/e.clockS + e.leakW) * 1e3
-	}
-}
-
-// TimedBatchMW evaluates up to 64 vector pairs in one pass of the
-// lane-packed event-driven timed simulator (sim.TimedBatch) and returns
-// their cycle powers in mW, glitches included. It requires a timed
-// (non-zero) delay model; results are bit-identical to calling
-// CyclePowerMW per pair, because the engine's per-lane toggle counts match
-// the scalar simulator's and the glitch-weighted energy sum runs in the
-// same gate order with the same operations.
-func (e *Evaluator) TimedBatchMW(v1s, v2s [][]bool) ([]float64, error) {
-	if e.ZeroDelay() {
-		return nil, fmt.Errorf("power: timed batch evaluation requires a non-zero delay model (use ZeroDelayBatchMW)")
-	}
-	if len(v1s) != len(v2s) {
-		return nil, fmt.Errorf("power: %d first vectors vs %d second", len(v1s), len(v2s))
-	}
-	if e.timed == nil {
-		e.timed = sim.NewTimedBatchDelays(e.Circuit(), e.simulator.DelaysPS())
-	}
-	var err error
-	if e.pack1, err = e.timed.PackInputsInto(e.pack1, v1s); err != nil {
-		return nil, err
-	}
-	if e.pack2, err = e.timed.PackInputsInto(e.pack2, v2s); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(v1s))
-	e.timedBlockMW(e.pack1, e.pack2, out)
-	return out, nil
-}
-
-// timedBlockMW is the packed timed core: one 64-lane block of pre-packed
-// bit planes in, len(out) ≤ 64 glitch-weighted lane powers (mW) out,
-// allocation-free in steady state (the TimedBatch engine reuses its
-// calendar and toggle planes across calls).
-func (e *Evaluator) timedBlockMW(in1, in2 []uint64, out []float64) {
-	if e.timed == nil {
-		e.timed = sim.NewTimedBatchDelays(e.Circuit(), e.simulator.DelaysPS())
-	}
-	res := e.timed.RunCycles(in1, in2)
-	for i := range out {
-		out[i] = 0
-	}
-	for g, any := range res.Any {
-		if any == 0 {
-			continue
-		}
-		eg := e.energyW[g]
-		// Lanes where the gate toggled exactly once (the common case) have
-		// eff = 1 + glitch·0 = 1 exactly, so adding eg unmodified is
-		// bit-identical to the scalar expression and skips the per-lane
-		// count reconstruction. Per lane the sum still runs in ascending
-		// gate order with one add per gate, matching energyOf.
-		multi := res.MultiMask(g)
-		for w := any &^ multi; w != 0; w &= w - 1 {
-			lane := bits.TrailingZeros64(w)
-			if lane >= len(out) {
-				break // inert packing lanes beyond the batch
-			}
-			out[lane] += eg
-		}
-		for w := multi; w != 0; w &= w - 1 {
-			lane := bits.TrailingZeros64(w)
-			if lane >= len(out) {
-				break
-			}
-			// Same expression and accumulation order as energyOf, so each
-			// lane's float64 sum is bit-identical to the scalar path.
-			n := res.Count(g, lane)
-			eff := 1 + e.glitch*float64(n-1)
-			out[lane] += eff * eg
-		}
-	}
-	for i := range out {
-		out[i] = (out[i]/e.clockS + e.leakW) * 1e3
-	}
-}
-
-// BatchMW evaluates up to 64 vector pairs through the delay model's
-// lane-packed engine: the bit-parallel settle path under zero delay, the
-// event-driven TimedBatch otherwise. Either way the results are
-// bit-identical to per-pair CyclePowerMW calls. It is the [][]bool
-// adapter; the sampling pipeline itself feeds pre-packed planes to
-// BatchMWPacked and never materializes [][]bool.
-func (e *Evaluator) BatchMW(v1s, v2s [][]bool) ([]float64, error) {
-	if e.ZeroDelay() {
-		return e.ZeroDelayBatchMW(v1s, v2s)
-	}
-	return e.TimedBatchMW(v1s, v2s)
-}
-
-// BatchMWPacked evaluates a whole packed batch — any number of pairs, in
-// 64-lane bit-plane blocks — into out (mW), which must be exactly pp.N
-// long. This is the native entry point of the sampling pipeline: no
-// [][]bool is materialized, no per-call transpose happens, and after the
-// lazily-built lane engine warms up the call performs zero heap
-// allocations. Results are bit-identical to per-pair CyclePowerMW calls
-// for every delay model.
-func (e *Evaluator) BatchMWPacked(pp *sim.PackedPairs, out []float64) error {
-	if len(out) != pp.N {
-		return fmt.Errorf("power: %d power slots for %d packed pairs", len(out), pp.N)
-	}
-	if e.useKernels {
-		sl := e.program().StripeLanes()
-		for b0 := 0; b0 < pp.N; b0 += sl {
-			end := b0 + sl
-			if end > pp.N {
-				end = pp.N
-			}
-			if err := e.PackedStripeMW(pp, b0/sl, out[b0:end]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for b := 0; b < pp.Blocks(); b++ {
-		in1, in2, lanes := pp.Block(b)
-		if err := e.PackedBlockMW(in1, in2, out[b*64:b*64+lanes]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // PackedStripeMW evaluates one stripe — StripeWords 64-lane blocks — of
-// the packed batch through the compiled striped engine into out, which
-// must cover exactly the stripe's lanes (shorter on the final partial
-// stripe). It is PackedBlockRangeMW over the stripe's block range.
+// the packed batch through the batch engine into out, which must cover
+// exactly the stripe's lanes (shorter on the final partial stripe). It is
+// PackedBlockRangeMW over the stripe's block range.
 func (e *Evaluator) PackedStripeMW(pp *sim.PackedPairs, stripe int, out []float64) error {
-	if !e.useKernels {
-		return fmt.Errorf("power: PackedStripeMW requires UseKernels")
-	}
-	w := e.program().StripeWords()
+	w := e.Program().StripeWords()
 	b0 := stripe * w
 	if stripe < 0 || b0 >= pp.Blocks() {
 		return fmt.Errorf("power: stripe %d of %d packed pairs", stripe, pp.N)
@@ -513,40 +287,30 @@ func (e *Evaluator) PackedStripeMW(pp *sim.PackedPairs, stripe int, out []float6
 }
 
 // PackedBlockRangeMW evaluates blocks b0 … b0+nb−1 (1 ≤ nb ≤ StripeWords,
-// any b0) of the packed batch as one compiled stripe into out, which must
-// cover exactly those blocks' pairs (shorter when the range ends at a
-// partial final block). The striped analogue of PackedBlockMW, exposed at
-// the same seam so worker pools can split batches at block granularity
-// and still run whole stripes; allocation-free in steady state and
-// bit-identical per lane to the scalar oracle for every delay model.
+// any b0) of the packed batch as one stripe of the speculative kernel
+// into out, which must cover exactly those blocks' pairs (shorter when
+// the range ends at a partial final block). Worker pools split batches
+// at block granularity through it and still run whole stripes. It is
+// allocation-free in steady state and bit-identical per lane to
+// per-pair CyclePowerMW for every delay model.
 func (e *Evaluator) PackedBlockRangeMW(pp *sim.PackedPairs, b0, nb int, out []float64) error {
-	if !e.useKernels {
-		return fmt.Errorf("power: PackedBlockRangeMW requires UseKernels")
+	if n := e.Circuit().NumInputs(); pp.Inputs != n {
+		return fmt.Errorf("power: packed batch width %d, circuit has %d inputs", pp.Inputs, n)
 	}
-	p := e.program()
+	p := e.Program()
 	if b0 < 0 || nb < 1 || nb > p.StripeWords() || b0+nb > pp.Blocks() {
 		return fmt.Errorf("power: blocks [%d, %d) of %d packed pairs at stripe width %d", b0, b0+nb, pp.N, p.StripeWords())
 	}
 	if lanes := min(pp.N, (b0+nb)*64) - b0*64; len(out) != lanes {
 		return fmt.Errorf("power: %d power slots for blocks [%d, %d) of %d packed pairs", len(out), b0, b0+nb, pp.N)
 	}
-	var r *sim.StripedResult
-	if e.speculate {
-		if e.spec == nil {
-			e.spec = sim.NewSpeculative(p)
-			// Cycle energy needs only the toggle planes: skip the
-			// per-lane settle/event aggregation entirely.
-			e.spec.LaneStats = false
-		}
-		r = e.spec.RunBlocks(pp, b0, nb)
-	} else {
-		if e.striped == nil {
-			e.striped = sim.NewStriped(p)
-			e.striped.LaneStats = false
-		}
-		r = e.striped.RunBlocks(pp, b0, nb)
+	if e.spec == nil {
+		e.spec = sim.NewSpeculative(p)
+		// Cycle energy needs only the toggle planes: skip the
+		// per-lane settle/event aggregation entirely.
+		e.spec.LaneStats = false
 	}
-	e.stripeMW(r, out)
+	e.stripeMW(e.spec.RunBlocks(pp, b0, nb), out)
 	return nil
 }
 
@@ -627,27 +391,6 @@ func (e *Evaluator) stripeMW(r *sim.StripedResult, out []float64) {
 	for i := range out {
 		out[i] = (out[i]/e.clockS + e.leakW) * 1e3
 	}
-}
-
-// PackedBlockMW evaluates one 64-lane block of pre-packed bit planes
-// (one word per primary input, lanes beyond len(out) inert) into out
-// (1–64 lane powers, mW), dispatching on the delay model exactly like
-// BatchMW. The workhorse of BatchMWPacked, exposed so a worker pool can
-// split a batch at block granularity; allocation-free in steady state.
-func (e *Evaluator) PackedBlockMW(in1, in2 []uint64, out []float64) error {
-	n := e.Circuit().NumInputs()
-	if len(in1) != n || len(in2) != n {
-		return fmt.Errorf("power: packed block width %d/%d, circuit has %d inputs", len(in1), len(in2), n)
-	}
-	if len(out) == 0 || len(out) > 64 {
-		return fmt.Errorf("power: packed block of %d lanes (want 1–64)", len(out))
-	}
-	if e.ZeroDelay() {
-		e.zeroDelayBlockMW(in1, in2, out)
-	} else {
-		e.timedBlockMW(in1, in2, out)
-	}
-	return nil
 }
 
 // CycleDetail returns cycle power (W) along with the simulator's settle

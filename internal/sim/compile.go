@@ -35,10 +35,30 @@ type CompileOptions struct {
 	Observe []int
 	// ZeroDelay compiles the glitch-free settle kernel (two topological
 	// passes, no calendar) instead of the event-driven timed kernel. It
-	// must match the delay model's zero-delay contract, exactly as
-	// power.Evaluator dispatches BitParallel vs TimedBatch.
+	// must match the delay model's zero-delay contract, exactly as the
+	// scalar Simulator dispatches between its zero-delay and timed paths.
 	ZeroDelay bool
 }
+
+// Fused opcodes: gate kind specialized on fan-in arity, so the dominant
+// two-input gates evaluate without a loop. One-input gates are folded into
+// the two-input opcodes through a duplicated fab pair — Buf is And2(a, a),
+// Not is Nand2(a, a) — so the fast path needs only the six boolean ops.
+const (
+	fopInput uint8 = iota
+	fopAnd2
+	fopNand2
+	fopOr2
+	fopNor2
+	fopXor2
+	fopXnor2
+	fopAndN
+	fopNandN
+	fopOrN
+	fopNorN
+	fopXorN
+	fopXnorN
+)
 
 // Program is a netlist compiled into a flat straight-line simulation
 // kernel for one (circuit, delay assignment, stripe width): levelized
@@ -105,7 +125,7 @@ type Program struct {
 }
 
 // CompileModel is Compile with the delay assignment drawn from a model
-// (nil = delay.FanoutLoaded{}, like New/NewTimedBatch). ZeroDelay is
+// (nil = delay.FanoutLoaded{}, like New). ZeroDelay is
 // inferred from the assignment, matching Simulator's dispatch rule.
 func CompileModel(c *netlist.Circuit, m delay.Model, opt CompileOptions) *Program {
 	if m == nil {
@@ -200,9 +220,10 @@ func Compile(c *netlist.Circuit, delaysPS []int64, opt CompileOptions) *Program 
 		inputSlot[i] = slotOf[idx]
 	}
 
-	// Timed tables: progress-guarded delays, GCD normalization, calendar
-	// geometry — identical math to NewTimedBatchDelays, restricted to the
-	// live cone so a dead region's delays cannot inflate the calendar.
+	// Timed tables: progress-guarded delays (a zero delay becomes 1 ps, as
+	// in the scalar Simulator), GCD normalization and calendar geometry,
+	// restricted to the live cone so a dead region's delays cannot
+	// inflate the calendar.
 	var (
 		delays  []int64
 		gcdPS   int64
@@ -458,14 +479,18 @@ func Fingerprint(c *netlist.Circuit, delaysPS []int64, opt CompileOptions) uint6
 	return h.Sum64()
 }
 
+func gcd64(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
 // Circuit returns the compiled circuit.
 func (p *Program) Circuit() *netlist.Circuit { return p.c }
 
 // StripeWords returns the stripe width in 64-lane words.
 func (p *Program) StripeWords() int { return p.w }
-
-// StripeLanes returns the lane capacity of one stripe (64 · StripeWords).
-func (p *Program) StripeLanes() int { return p.w * 64 }
 
 // ZeroDelay reports whether this is the settle-only glitch-free kernel.
 func (p *Program) ZeroDelay() bool { return p.zeroDelay }

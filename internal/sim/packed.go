@@ -6,9 +6,8 @@ import "fmt"
 // currency of the sampling pipeline. Pairs are grouped into blocks of 64
 // lanes; within block b, plane word In1[b*Inputs+i] carries primary input
 // i across the block's 64 lanes, bit l holding pair (64b+l)'s first
-// vector at input i (In2 likewise for the second vector). This is exactly
-// the layout BitParallel.PackInputs and TimedBatch.PackInputs produce, so
-// a block slices straight into the lane-packed engines with no per-call
+// vector at input i (In2 likewise for the second vector). The batch
+// engine reads blocks straight from these planes, with no per-call
 // transpose or [][]bool materialization.
 //
 // Unused lanes of a partial final block stay zero in both planes, which
@@ -50,18 +49,6 @@ func (p *PackedPairs) Reset(inputs, n int) {
 		p.In1[i] = 0
 		p.In2[i] = 0
 	}
-}
-
-// Block returns block b's two planes (Inputs words each) and the number
-// of valid lanes in it (64 for every block but possibly the last).
-func (p *PackedPairs) Block(b int) (in1, in2 []uint64, lanes int) {
-	lo := b * p.Inputs
-	hi := lo + p.Inputs
-	lanes = p.N - b*64
-	if lanes > 64 {
-		lanes = 64
-	}
-	return p.In1[lo:hi:hi], p.In2[lo:hi:hi], lanes
 }
 
 // SetPair packs the pair (v1, v2) into slot i. Both vectors must be

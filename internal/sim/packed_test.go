@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/delay"
 )
 
 func TestPackedPairsRoundTrip(t *testing.T) {
@@ -49,10 +50,25 @@ func TestPackedPairsRoundTrip(t *testing.T) {
 	}
 }
 
+// packInputs is the reference lane packing: bit l of word j carries
+// input j of vectors[l].
+func packInputs(inputs int, vectors [][]bool) []uint64 {
+	words := make([]uint64, inputs)
+	for l, v := range vectors {
+		for j, b := range v {
+			if b {
+				words[j] |= 1 << uint(l)
+			}
+		}
+	}
+	return words
+}
+
 func TestPackedPairsBlockLayoutMatchesPackInputs(t *testing.T) {
-	// The per-block planes must be byte-for-byte what the engines'
-	// PackInputs would produce for the same vectors — that is the whole
-	// point of the format.
+	// Block b's planes (words [b·Inputs, (b+1)·Inputs)) must be word for
+	// word the reference lane packing of its vectors (unused lanes zero),
+	// and the batch engine must read them as the scalar oracle reads the
+	// vectors — that is the whole point of the format.
 	c := bench.MustGenerate("C432")
 	inputs := c.NumInputs()
 	var pp PackedPairs
@@ -70,20 +86,26 @@ func TestPackedPairsBlockLayoutMatchesPackInputs(t *testing.T) {
 		vecs1[i], vecs2[i] = v1, v2
 		pp.SetPair(i, v1, v2)
 	}
-	bp := NewBitParallel(c)
 	for b := 0; b < pp.Blocks(); b++ {
-		in1, in2, lanes := pp.Block(b)
-		want1, err := bp.PackInputs(vecs1[b*64 : b*64+lanes])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want2, err := bp.PackInputs(vecs2[b*64 : b*64+lanes])
-		if err != nil {
-			t.Fatal(err)
-		}
+		lanes := min(64, n-b*64)
+		want1 := packInputs(inputs, vecs1[b*64:b*64+lanes])
+		want2 := packInputs(inputs, vecs2[b*64:b*64+lanes])
 		for j := 0; j < inputs; j++ {
-			if in1[j] != want1[j] || in2[j] != want2[j] {
-				t.Fatalf("block %d input %d: plane (%#x,%#x) want (%#x,%#x)", b, j, in1[j], in2[j], want1[j], want2[j])
+			in1, in2 := pp.In1[b*inputs+j], pp.In2[b*inputs+j]
+			if in1 != want1[j] || in2 != want2[j] {
+				t.Fatalf("block %d input %d: plane (%#x,%#x) want (%#x,%#x)", b, j, in1, in2, want1[j], want2[j])
+			}
+		}
+	}
+	s := New(c, delay.Zero{})
+	r := NewStriped(CompileModel(c, delay.Zero{}, CompileOptions{})).Run(&pp, 0)
+	var dst []int32
+	for i := 0; i < n; i++ {
+		want := s.RunCycle(vecs1[i], vecs2[i])
+		dst = r.Toggles(i/64, i%64, dst)
+		for g := range want.Toggles {
+			if dst[g] != want.Toggles[g] {
+				t.Fatalf("pair %d gate %d: batch %d toggles, scalar %d", i, g, dst[g], want.Toggles[g])
 			}
 		}
 	}

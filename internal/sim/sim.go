@@ -6,26 +6,26 @@
 // with single-pending-event inertial filtering (a pulse shorter than a
 // gate's delay is swallowed, as in real hardware).
 //
-// # Lane-packed engines
+// # Batch engine
 //
-// Beyond the scalar Simulator the package provides two 64-lane batch
-// engines, both bit-identical per lane to the scalar path and built for
-// the streaming-estimation hot loop where thousands of independent vector
-// pairs are simulated per estimate:
+// The scalar Simulator is the verification oracle and the single-pair
+// introspection path. Batches of vector pairs — thousands per estimate
+// in the streaming hot loop — run on one batch engine, bit-identical per
+// lane to the oracle on every delay model:
 //
-//   - BitParallel packs 64 pairs into one uint64 word per gate and settles
-//     them in two topological passes — valid only for zero-delay models,
-//     where no glitches exist.
-//   - TimedBatch runs the full event-driven inertial-delay simulation on
-//     64 pairs at once. Per-gate delays are lane-invariant, so all lanes'
-//     events for a gate share one calendar slot and the scalar
-//     single-pending-event rules become word-level mask algebra; toggle
-//     counts are kept as bit-plane ripple-carry counters. See the TimedBatch
-//     type documentation and DESIGN.md §7 for the algorithm.
+//   - Compile turns a circuit and its delay assignment into an immutable,
+//     shareable Program (levelized straight-line kernel, fused opcodes,
+//     GCD-normalized delays); ProgramCache deduplicates compiles.
+//   - Speculative executes a Program over stripes of up to 512 pairs held
+//     in PackedPairs bit planes: it settles both vectors, patches toggle
+//     counts from compile-time hazard analysis and per-gate waveform
+//     merges, and reruns any mispredicted stripe on Striped, the
+//     compiled event wheel. Zero-delay programs compile
+//     to a glitch-free settle kernel with no calendar.
 //
-// power.Evaluator dispatches batches to the right engine via BatchMW; the
-// scalar Simulator remains the verification oracle (differential tests)
-// and the single-pair introspection path.
+// power.Evaluator drives the engine; the differential tests hold both
+// Striped and Speculative to the scalar oracle. DESIGN.md §11 and §13
+// describe the algorithms.
 package sim
 
 import (
@@ -158,9 +158,9 @@ func (s *Simulator) Circuit() *netlist.Circuit { return s.c }
 
 // DelaysPS returns the simulator's per-gate delay assignment in ps. The
 // slice is the simulator's own (immutable after construction) — callers
-// must not modify it. It lets a TimedBatch be built from the exact delays
-// of this scalar oracle (NewTimedBatchDelays) even when the delay model's
-// Assign is not deterministic.
+// must not modify it. It lets a Program be compiled from the exact delays
+// of this scalar oracle (Compile) even when the delay model's Assign is
+// not deterministic.
 func (s *Simulator) DelaysPS() []int64 { return s.delays }
 
 // ZeroDelay reports whether the simulator runs in the glitch-free

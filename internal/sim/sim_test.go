@@ -25,6 +25,23 @@ func chain(t *testing.T, n int) *netlist.Circuit {
 	return c
 }
 
+// xorshiftVectors builds deterministic pseudo-random input vectors.
+func xorshiftVectors(n, width int, seed uint64) [][]bool {
+	out := make([][]bool, n)
+	x := seed*2862933555777941757 + 3037000493
+	for i := range out {
+		v := make([]bool, width)
+		for j := range v {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			v[j] = x&1 != 0
+		}
+		out[i] = v
+	}
+	return out
+}
+
 // glitchCircuit builds the canonical static-hazard circuit
 // y = AND(a, NOT(a)) with asymmetric path delays, which produces a glitch
 // on a rising a under a timed model and no glitch under zero delay.
@@ -290,5 +307,38 @@ func BenchmarkRunCycleC6288Zero(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.RunCycle(v1, v2)
+	}
+}
+
+// TestResultCopyToggles is the regression test for the Result.Toggles
+// aliasing hazard: the slice returned by RunCycle is simulator-owned and
+// rewritten by the next cycle; CopyToggles must produce a stable snapshot.
+func TestResultCopyToggles(t *testing.T) {
+	c := chain(t, 4)
+	s := New(c, delay.Unit{})
+	res := s.RunCycle([]bool{false}, []bool{true})
+	snap := res.CopyToggles(nil)
+	aliased := res.Toggles
+	// A quiet cycle rewrites the shared buffer to all zeros.
+	if r2 := s.RunCycle([]bool{true}, []bool{true}); r2.Events != 0 {
+		t.Fatalf("expected quiet cycle, got %d events", r2.Events)
+	}
+	sawOverwrite := false
+	for g := range snap {
+		if snap[g] != 1 { // every gate of the inverter chain toggles once
+			t.Fatalf("snapshot gate %d = %d, want 1", g, snap[g])
+		}
+		if aliased[g] != snap[g] {
+			sawOverwrite = true
+		}
+	}
+	if !sawOverwrite {
+		t.Fatal("Result.Toggles did not alias simulator scratch — the CopyToggles contract is stale")
+	}
+	// Reusing a big-enough dst must not allocate a new backing array.
+	dst := make([]int32, 0, c.NumGates())
+	out := s.RunCycle([]bool{true}, []bool{false}).CopyToggles(dst)
+	if &out[0] != &dst[:1][0] {
+		t.Fatal("CopyToggles ignored reusable dst")
 	}
 }

@@ -2,10 +2,11 @@ package sim
 
 import "math/bits"
 
-// Speculative is the settle-then-patch timed executor: a third execution
-// strategy beside the interpreted TimedBatch and the compiled Striped
-// event wheel, built for the streaming power path where the wheel is
-// ~99% of a timed stripe's cost.
+// Speculative is the settle-then-patch executor and the package's batch
+// engine: power.Evaluator runs every stripe through it. It replaces the
+// compiled Striped event wheel on the hot path, where the wheel would be
+// ~99% of a timed stripe's cost, and keeps the wheel as its per-stripe
+// misprediction fallback.
 //
 // Phase 1 settles both input vectors of a stripe through the straight-
 // line zero-delay kernel (borrowed from the owned Striped executor) —

@@ -6,15 +6,18 @@ import (
 )
 
 // Striped executes a compiled Program over stripes of W 64-lane words —
-// up to 512 vector pairs per calendar pass. It is the multi-word
-// generalization of TimedBatch: per-gate delays are lane-invariant, so
-// all W·64 lanes of a gate share one calendar slot, one bucket entry, and
-// one occupancy bit, and the per-gate dispatch (opcode switch, fan-in
-// resolution, delay lookup) amortizes across the whole stripe. Within a
-// delta cycle the engine tracks which words of each changed gate actually
-// toggled and re-evaluates fan-outs only on that word mask — a word whose
-// fan-ins did not change would recompute its previous next-value and
-// no-op, so skipping it is exact, not approximate.
+// up to 512 vector pairs per calendar pass. It is the event-driven
+// timed simulation of the scalar Simulator run on W·64 lanes at once:
+// per-gate delays are lane-invariant, so all lanes of a gate share one
+// calendar slot, one bucket entry, and one occupancy bit, the scalar
+// single-pending-event inertial rules become word-level mask algebra,
+// toggle counts are kept as bit-plane ripple-carry counters, and the
+// per-gate dispatch (opcode switch, fan-in resolution, delay lookup)
+// amortizes across the whole stripe. Within a delta cycle the engine
+// tracks which words of each changed gate actually toggled and
+// re-evaluates fan-outs only on that word mask — a word whose fan-ins
+// did not change would recompute its previous next-value and no-op, so
+// skipping it is exact, not approximate.
 //
 // All engine state is laid out at the *active* word count of the current
 // run (aw ≤ W), not the compiled capacity: a 5-block stripe of a W=8
@@ -31,7 +34,9 @@ import (
 //
 // A Striped owns mutable run state and is not safe for concurrent use;
 // build one per goroutine over a shared immutable Program
-// (power.Evaluator.Clone does this transparently).
+// (power.Evaluator.Clone does this transparently). Production stripes run
+// on Speculative, which owns a Striped and falls back to it per stripe
+// on misprediction.
 type Striped struct {
 	// LaneStats enables the per-lane SettleTime/Events aggregates.
 	// NewStriped sets it; the power path clears it, because cycle energy
@@ -100,15 +105,15 @@ type Striped struct {
 	res   StripedResult
 }
 
-// StripedResult holds the per-lane outcomes of one Striped.Run — the
-// multi-word shape of BatchResult. Lane addressing is (word k, lane l)
+// StripedResult holds the per-lane outcomes of one Striped.Run, in the
+// shape of W·64 scalar Results. Lane addressing is (word k, lane l)
 // = pair k·64+l of the stripe; lanes beyond the packed batch stay inert.
 //
-// Aliasing contract (shared with TimedBatch's BatchResult): the result
-// and every slice in it are owned by the engine and overwritten by the
-// next Run on the same Striped — hold no reference across runs. Toggles
-// copies counts out into a caller-owned slice and is the safe way to keep
-// them, exactly like Result.CopyToggles on the scalar path.
+// Aliasing contract: the result and every slice in it are owned by the
+// engine and overwritten by the next Run on the same Striped — hold no
+// reference across runs. Toggles copies counts out into a caller-owned
+// slice and is the safe way to keep them, exactly like
+// Result.CopyToggles on the scalar path.
 type StripedResult struct {
 	// W is the stripe capacity in words; AW the words active this run.
 	// Per-slot arrays are packed at AW words per slot.
@@ -143,7 +148,7 @@ type StripedResult struct {
 }
 
 // Count returns the toggle count of the gate at slot in lane (word, lane)
-// — the striped equivalent of BatchResult.Count.
+// — the striped equivalent of Result.Toggles[gate].
 func (r *StripedResult) Count(slot, word, lane int) int32 {
 	idx := slot*r.AW + word
 	if r.zero {
@@ -374,7 +379,7 @@ func (st *Striped) loadInputs(vals, plane []uint64, b0 int) {
 }
 
 // settle runs the straight-line settle program over the active words of
-// vals — the compiled, striped form of TimedBatch.settle. Instructions
+// vals — the compiled, striped form of Simulator.settleInto. Instructions
 // are in levelized order; input slots carry no instruction.
 func (st *Striped) settle(vals []uint64) {
 	p := st.p
@@ -458,9 +463,9 @@ func (st *Striped) settleWide(vals []uint64, s, base int) {
 // resetResult zeroes the per-run accounting and reshapes the toggle
 // planes to the current stride (reinterpreting the existing buffer as
 // however many full levels it holds). Calendar state (arenas, occ,
-// pend-has, live) is self-cleaning across runs, exactly as in TimedBatch,
-// including across active-word changes: a run only ever touches words of
-// its own layout, and leaves every touched word cleared.
+// pend-has, live) is self-cleaning across runs, including across
+// active-word changes: a run only ever touches words of its own layout,
+// and leaves every touched word cleared.
 func (st *Striped) resetResult() {
 	res := &st.res
 	if st.stride > 0 {
@@ -769,11 +774,12 @@ func (st *Striped) evaluateFanouts(changed []int32, masks []uint8, snow int) {
 
 // evaluate recomputes slot f's words in wm at ring position snow and
 // applies the per-lane single-pending-event inertial rules as mask
-// algebra — the striped form of TimedBatch.evaluate. Words outside wm had
-// no fan-in change this delta cycle: they would recompute their previous
-// next-value and no-op, so skipping them is bit-exact. All words share
-// one calendar row (delays are lane-invariant), so scheduling costs one
-// bucket append and one occupancy update for the whole stripe.
+// algebra — the striped form of Simulator.evaluateAndSchedule. Words
+// outside wm had no fan-in change this delta cycle: they would recompute
+// their previous next-value and no-op, so skipping them is bit-exact.
+// All words share one calendar row (delays are lane-invariant), so
+// scheduling costs one bucket append and one occupancy update for the
+// whole stripe.
 func (st *Striped) evaluate(f int, wm uint8, snow int) {
 	p := st.p
 	aw := st.aw
@@ -787,9 +793,9 @@ func (st *Striped) evaluate(f int, wm uint8, snow int) {
 	pend := st.pend
 	// One pass per masked word, nothing materialized across words: at
 	// most one fan-in changes per delta in steady state, so wm is usually
-	// a single bit and the call must cost like TimedBatch's single-word
-	// evaluate. The calendar row resolves lazily on the first scheduled
-	// word — the delay (and therefore the row) is word-invariant.
+	// a single bit and the call must cost like a single-word evaluate.
+	// The calendar row resolves lazily on the first scheduled word — the
+	// delay (and therefore the row) is word-invariant.
 	var row []uint64
 	for m := wm; m != 0; m &= m - 1 {
 		k := bits.TrailingZeros8(m)

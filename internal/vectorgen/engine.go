@@ -13,11 +13,10 @@ import (
 // StreamSource: it evaluates a packed batch of vector pairs into a slice
 // of cycle powers across a bounded worker pool. The batch's 64-lane
 // blocks are split evenly over the workers, and each worker runs its
-// share as compiled stripes — the speculative settle-then-patch kernel
-// on timed models, the settle kernel under zero delay — or block by block
-// when kernels are off. Each worker slot owns a cloned evaluator, so the
-// kernel executors (and their per-clone scratch state) are built once and
-// reused across calls.
+// share as stripes of the speculative kernel (the settle kernel under
+// zero delay). Each worker slot owns a cloned evaluator sharing one
+// compiled program, so the kernel executors (and their per-clone scratch
+// state) are built once and reused across calls.
 //
 // Determinism: powers[i] depends only on pair i, and every write lands
 // at its own index, so the output is bit-identical for any worker count,
@@ -30,11 +29,13 @@ type evalEngine struct {
 }
 
 // newEvalEngine clones eval into workers independent evaluators
-// (0 = NumCPU).
+// (0 = NumCPU). The program is resolved before cloning, so the clones
+// share one compile instead of each compiling its own.
 func newEvalEngine(eval *power.Evaluator, workers int) *evalEngine {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
+	eval.Program()
 	e := &evalEngine{workers: workers, evals: make([]*power.Evaluator, workers), errs: make([]error, workers)}
 	for i := range e.evals {
 		e.evals[i] = eval.Clone()
@@ -55,7 +56,7 @@ func (e *evalEngine) specStats() sim.SpecStats {
 }
 
 // evaluatePacked fills powers[i] with the cycle power (mW) of pp's pair
-// i — the pipeline's native path: the planes feed the lane engines
+// i — the pipeline's native path: the planes feed the batch engine
 // directly, so no [][]bool and no per-call transpose exist anywhere under
 // it. The blocks are partitioned evenly over the workers (a 5-block
 // batch on two workers runs 3+2 instead of all 5 on one worker; 10
@@ -98,13 +99,9 @@ func (e *evalEngine) share(w, workers int, pp *sim.PackedPairs, powers []float64
 }
 
 // evalShare evaluates blocks [lo, hi) of pp into their power slots
-// through one worker's evaluator — as even compiled stripes of at most
-// StripeWords blocks when the evaluator has kernels enabled, single
-// 64-lane blocks otherwise.
+// through one worker's evaluator, as even stripes of at most StripeWords
+// blocks.
 func evalShare(ev *power.Evaluator, pp *sim.PackedPairs, lo, hi int, powers []float64) error {
-	if !ev.KernelsEnabled() {
-		return evalBlocks(ev, pp, lo, hi, powers)
-	}
 	width := ev.StripeWords()
 	share := hi - lo
 	stripes := (share + width - 1) / width
@@ -112,18 +109,6 @@ func evalShare(ev *power.Evaluator, pp *sim.PackedPairs, lo, hi int, powers []fl
 		b0, b1 := lo+j*share/stripes, lo+(j+1)*share/stripes
 		if err := ev.PackedBlockRangeMW(pp, b0, b1-b0, powers[b0*64:min(pp.N, b1*64)]); err != nil {
 			return fmt.Errorf("vectorgen: compiled stripe evaluation: %w", err)
-		}
-	}
-	return nil
-}
-
-// evalBlocks evaluates blocks [lo, hi) of pp into their power slots
-// through one worker's evaluator.
-func evalBlocks(ev *power.Evaluator, pp *sim.PackedPairs, lo, hi int, powers []float64) error {
-	for b := lo; b < hi; b++ {
-		in1, in2, lanes := pp.Block(b)
-		if err := ev.PackedBlockMW(in1, in2, powers[b*64:b*64+lanes]); err != nil {
-			return fmt.Errorf("vectorgen: packed evaluation: %w", err)
 		}
 	}
 	return nil

@@ -100,10 +100,11 @@ func TestPopulationSampleBatchMatchesScalar(t *testing.T) {
 }
 
 // TestTimedDifferentialBatchVsScalarC880 is the scalar-vs-batch
-// differential for the lane-packed *timed* simulator on a non-trivial
-// circuit and delay model (C880, fanout-loaded), run multi-worker so the
-// CI -race step exercises the TimedBatch lane-mask bookkeeping through
-// concurrently running per-worker engines.
+// differential for the *timed* batch engine (the speculative kernel, with
+// its event-wheel fallback) on a non-trivial circuit and delay model
+// (C880, fanout-loaded), driven through StreamSource and run multi-worker
+// so the CI -race step exercises the kernel's per-clone state through
+// concurrently running worker evaluators sharing one program.
 func TestTimedDifferentialBatchVsScalarC880(t *testing.T) {
 	c := bench.MustGenerate("C880")
 	eval := power.NewEvaluator(c, delay.FanoutLoaded{}, power.Params{})
@@ -182,5 +183,19 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEvalEngineSharesOneProgram: the worker clones of an evaluator built
+// without a kernel cache share the one program compiled for it, instead
+// of each compiling its own.
+func TestEvalEngineSharesOneProgram(t *testing.T) {
+	c := bench.MustGenerate("C432")
+	eng := newEvalEngine(power.NewEvaluator(c, delay.FanoutLoaded{}, power.Params{}), 4)
+	p := eng.evals[0].Program()
+	for i, ev := range eng.evals {
+		if ev.Program() != p {
+			t.Fatalf("worker %d compiled its own program", i)
+		}
 	}
 }

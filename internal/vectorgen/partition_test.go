@@ -14,25 +14,20 @@ import (
 // batch sizes that end mid-block, on a block, on a stripe, and span
 // several stripes, and for worker counts that split them unevenly,
 // evaluatePacked is bit-identical to the single-worker engine and to the
-// scalar oracle — on the speculative default, the compiled event wheel,
-// the zero-delay settle kernel, and the interpreted per-block path. CI
-// runs it under -race.
+// scalar oracle — on the timed speculative kernel and the zero-delay
+// settle kernel. CI runs it under -race.
 func TestEvaluatePackedPartition(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	engines := []struct {
 		name  string
 		model delay.Model
-		setup func(*power.Evaluator)
 	}{
-		{"speculative", delay.FanoutLoaded{}, func(ev *power.Evaluator) { ev.UseSpeculative(nil, "") }},
-		{"wheel", delay.FanoutLoaded{}, func(ev *power.Evaluator) { ev.UseKernels(nil, "") }},
-		{"zero", delay.Zero{}, func(ev *power.Evaluator) { ev.UseKernels(nil, "") }},
-		{"interpreted", delay.FanoutLoaded{}, func(*power.Evaluator) {}},
+		{"speculative", delay.FanoutLoaded{}},
+		{"zero", delay.Zero{}},
 	}
 	gen := HighActivity{N: c.NumInputs(), MinActivity: 0.3}
 	for _, eng := range engines {
 		ev := power.NewEvaluator(c, eng.model, power.Params{})
-		eng.setup(ev)
 		for _, n := range []int{1, 63, 64, 300, 512, 600, 1100} {
 			var pp sim.PackedPairs
 			pp.Reset(c.NumInputs(), n)

@@ -126,8 +126,7 @@ func (s *StreamSource) engine() *evalEngine {
 func (s *StreamSource) Size() int { return s.DeclaredSize }
 
 // SpecCounters implements evt.EngineStatsSource: cumulative speculation
-// counters summed across the batch engine's evaluator clones (zero when
-// the evaluator runs a non-speculative strategy). The estimator
+// counters summed across the batch engine's evaluator clones. The estimator
 // snapshots deltas around each run, so sharing one source across runs
 // attributes counts correctly.
 func (s *StreamSource) SpecCounters() (stripes, patched, fallbacks uint64) {

@@ -241,8 +241,8 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestBuildZeroDelayBatchPathMatchesSerial(t *testing.T) {
-	// Populations built under the zero-delay model go through the 64-lane
-	// bit-parallel path; every unit must equal the serial evaluation.
+	// Populations built under the zero-delay model go through the batch
+	// engine's settle kernel; every unit must equal the serial evaluation.
 	c := bench.MustGenerate("C432")
 	eval := power.NewEvaluator(c, delay.Zero{}, power.Params{})
 	gen := HighActivity{N: c.NumInputs(), MinActivity: 0.3}

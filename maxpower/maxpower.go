@@ -148,17 +148,12 @@ type KernelCache = sim.ProgramCache
 // programs (LRU beyond that).
 func NewKernelCache(capacity int) *KernelCache { return sim.NewProgramCache(capacity) }
 
-// kernelEvaluator builds the circuit's power evaluator with the compiled
-// kernel engine enabled, deduplicating the compile through kc when
-// non-nil (nil compiles privately). The cache key is circuit name +
-// delay model — delay assignments are deterministic per model, so the
-// pair pins the program; the fingerprint check inside the cache turns
-// any key collision into a recompile, never a wrong simulation.
-//
-// Timed stripes run the speculative settle-then-patch executor: it is
-// bit-identical to the event wheel on every delay model (misprediction
-// falls back per stripe, checked exactly) and substantially faster, so
-// it is the library default. Zero-delay programs settle either way.
+// kernelEvaluator builds the circuit's power evaluator, deduplicating
+// the kernel compile through kc when non-nil (nil compiles privately).
+// The cache key is circuit name + delay model — delay assignments are
+// deterministic per model, so the pair pins the program; the fingerprint
+// check inside the cache turns any key collision into a recompile, never
+// a wrong simulation.
 func kernelEvaluator(c *netlist.Circuit, model delay.Model, p power.Params, kc *KernelCache) *power.Evaluator {
 	ev := power.NewEvaluator(c, model, p)
 	ev.UseSpeculative(kc, c.Name+"/"+model.Name())
