@@ -63,9 +63,6 @@ func New(numVars int) *Manager {
 	return m
 }
 
-// NumVars returns the manager's variable count.
-func (m *Manager) NumVars() int { return m.numVars }
-
 // Size returns the number of live nodes (including the two constants).
 func (m *Manager) Size() int { return len(m.nodes) }
 

@@ -121,9 +121,7 @@ type Evaluator struct {
 	// Batch engine state: the immutable compiled program is shared
 	// across clones and — through the cache, when UseSpeculative attached
 	// one — across evaluators for the same (circuit, delay model); spec
-	// is per-instance mutable run state, built lazily on the first batch
-	// (it owns an event wheel of its own for per-stripe misprediction
-	// fallback).
+	// is per-instance mutable run state, built lazily on the first batch.
 	kernels   *sim.ProgramCache
 	kernelKey string
 	prog      *sim.Program
@@ -315,10 +313,9 @@ func (e *Evaluator) PackedBlockRangeMW(pp *sim.PackedPairs, b0, nb int, out []fl
 }
 
 // stripeMW folds a striped result into lane powers (mW). Per lane the
-// energy sum visits gates in ascending original order with one add per
-// toggled gate and the same eff expression as energyOf, so every lane's
-// float64 accumulation is bit-identical to the scalar path (compiled
-// slots ascend in gate id by construction).
+// energy sum visits gates in ascending order with one add per toggled
+// gate and the same eff expression as energyOf, so every lane's float64
+// accumulation is bit-identical to the scalar path (slot s is gate s).
 func (e *Evaluator) stripeMW(r *sim.StripedResult, out []float64) {
 	for i := range out {
 		out[i] = 0
@@ -333,7 +330,7 @@ func (e *Evaluator) stripeMW(r *sim.StripedResult, out []float64) {
 	eff2 := 1 + e.glitch
 	eff3 := 1 + e.glitch*2
 	for s := 0; s < r.NSlots; s++ {
-		eg := e.energyW[r.Gates[s]]
+		eg := e.energyW[s]
 		base := s * aw
 		for k := 0; k < r.AW; k++ {
 			any := r.Any[base+k]

@@ -235,7 +235,7 @@ type Stats struct {
 	KernelsHeld       int64 `json:"kernels_cached"`
 	// Speculative-kernel counters (PR 10): timed stripes attempted by
 	// the settle-then-patch executor, gate-words patched from hazard
-	// analysis, and stripes replayed on the full event wheel after a
+	// analysis, and stripes replayed on the scalar oracle after a
 	// misprediction. Strategy choice never changes results; these track
 	// where the simulation time went. Mirrored process-wide as
 	// maxpowerd_spec_stripes / maxpowerd_spec_fallbacks on /debug/vars.

@@ -19,7 +19,7 @@ import (
 	"repro/maxpower"
 )
 
-// Errors surfaced by Submit/Cancel, mapped to HTTP statuses in server.go.
+// Errors surfaced by Submit/CancelFor, mapped to HTTP statuses in server.go.
 var (
 	ErrQueueFull    = errors.New("service: job queue is full")
 	ErrShuttingDown = errors.New("service: shutting down, not accepting jobs")
@@ -403,35 +403,43 @@ func (m *Manager) healthLoop() {
 // to re-enqueue, in submission order: everything that was queued or
 // running when the previous process died. Terminal jobs are restored
 // as-is; jobs evicted by the previous process stay gone.
+//
+// Submit records are registered first and every other record is then
+// applied in journal order, so a record that reached the journal before
+// its job's submit record still counts: SubmitAs journals the submit
+// after releasing the lock that makes the job visible to workers, and a
+// worker can journal the start, checkpoints, or even the terminal record
+// first.
 func (m *Manager) replay(recs []record) []*job {
 	for _, rec := range recs {
+		if rec.Type != recSubmit || rec.Req == nil || m.jobs[rec.Job] != nil {
+			continue
+		}
+		var n int64
+		if _, err := fmt.Sscanf(rec.Job, "job-%d", &n); err == nil && n > m.seq {
+			m.seq = n
+		}
+		// Pre-tenant (PR 4-era) records carry no tenant and no
+		// priority; both default to the legacy flow (anonymous,
+		// normal), so old journals replay unchanged.
+		class, err := classOf(rec.Req.Options.Priority)
+		if err != nil {
+			class = classNormal
+		}
+		j := &job{
+			id:      rec.Job,
+			req:     *rec.Req,
+			tenant:  rec.Tenant,
+			class:   class,
+			circuit: displayName(*rec.Req),
+			state:   StateQueued,
+			created: rec.Time,
+		}
+		m.jobs[j.id] = j
+		m.order = append(m.order, j.id)
+	}
+	for _, rec := range recs {
 		switch rec.Type {
-		case recSubmit:
-			if rec.Req == nil || m.jobs[rec.Job] != nil {
-				continue
-			}
-			var n int64
-			if _, err := fmt.Sscanf(rec.Job, "job-%d", &n); err == nil && n > m.seq {
-				m.seq = n
-			}
-			// Pre-tenant (PR 4-era) records carry no tenant and no
-			// priority; both default to the legacy flow (anonymous,
-			// normal), so old journals replay unchanged.
-			class, err := classOf(rec.Req.Options.Priority)
-			if err != nil {
-				class = classNormal
-			}
-			j := &job{
-				id:      rec.Job,
-				req:     *rec.Req,
-				tenant:  rec.Tenant,
-				class:   class,
-				circuit: displayName(*rec.Req),
-				state:   StateQueued,
-				created: rec.Time,
-			}
-			m.jobs[j.id] = j
-			m.order = append(m.order, j.id)
 		case recStart:
 			if j := m.jobs[rec.Job]; j != nil {
 				j.started = rec.Time
@@ -739,15 +747,10 @@ func (m *Manager) ResultFor(id, tenant string) (JobResult, error) {
 	}, nil
 }
 
-// Cancel stops a queued or running job. Queued jobs are marked
-// cancelled immediately (and removed from the scheduler); running jobs
-// have their context cancelled and finish at the next hyper-sample
-// boundary.
-func (m *Manager) Cancel(id string) error {
-	return m.CancelFor(id, "")
-}
-
-// CancelFor is Cancel scoped to a tenant ("" = unscoped).
+// CancelFor stops a queued or running job visible to tenant ("" =
+// unscoped). Queued jobs are marked cancelled immediately (and removed
+// from the scheduler); running jobs have their context cancelled and
+// finish at the next hyper-sample boundary.
 func (m *Manager) CancelFor(id, tenant string) error {
 	m.mu.Lock()
 	j, ok := m.jobs[id]

@@ -189,6 +189,114 @@ func TestJournalCompaction(t *testing.T) {
 	}
 }
 
+// TestJournalReplaySubmitAfterStart replays hand-written journals whose
+// submit record landed after the job's other records — the order a
+// worker produces when it journals start (and, with a slow fsync,
+// checkpoints or even the terminal record) before SubmitAs journals the
+// submit. The finished job must come back with its journaled result,
+// not be re-run, and the live one must resume from its journaled
+// checkpoint and finish bit-identical to an uninterrupted run.
+func TestJournalReplaySubmitAfterStart(t *testing.T) {
+	// A genuine mid-run checkpoint of the live job: run it journaled and
+	// keep its first checkpoint record.
+	live := smallJob(83)
+	src := t.TempDir()
+	mgr, err := NewManager(ManagerConfig{Workers: 1, DataDir: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := mgr.Submit(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitManagerTerminal(t, mgr, id)
+	baseline, err := mgr.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdownManager(t, mgr)
+	srcRecs, _, err := readRecords(filepath.Join(src, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp *evt.Checkpoint
+	for _, rec := range srcRecs {
+		if rec.Type == recCheckpoint {
+			cp = rec.Checkpoint
+			break
+		}
+	}
+	if cp == nil || cp.Units >= baseline.Units {
+		t.Fatalf("no mid-run checkpoint journaled (%d records)", len(srcRecs))
+	}
+
+	finished := smallJob(84)
+	t0 := time.Date(2026, 4, 1, 9, 0, 0, 0, time.UTC)
+	res := &journalResult{Estimate: 12.5, CILow: 11.5, CIHigh: 13.5, RelErr: 0.04,
+		HyperSamples: 6, Units: 1800, Converged: true}
+	dir := t.TempDir()
+	jn, _, _, err := newJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.compact(nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []record{
+		{Type: recStart, Job: "job-000001", Time: t0.Add(time.Second)},
+		{Type: recCheckpoint, Job: "job-000001", Time: t0.Add(2 * time.Second), Checkpoint: cp},
+		{Type: recTerminal, Job: "job-000001", Time: t0.Add(3 * time.Second), State: StateDone, Result: res},
+		{Type: recSubmit, Job: "job-000001", Time: t0, Req: &finished},
+		{Type: recStart, Job: "job-000002", Time: t0.Add(5 * time.Second)},
+		{Type: recCheckpoint, Job: "job-000002", Time: t0.Add(6 * time.Second), Checkpoint: cp},
+		{Type: recSubmit, Job: "job-000002", Time: t0.Add(4 * time.Second), Req: &live},
+	} {
+		if err := jn.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jn.close()
+
+	mgr2, err := NewManager(ManagerConfig{Workers: 1, DataDir: dir, RetainFor: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownManager(t, mgr2)
+	mgr2.mu.Lock()
+	resume := mgr2.jobs["job-000002"].resume
+	mgr2.mu.Unlock()
+	if resume == nil || resume.Units != cp.Units || resume.RNG != cp.RNG {
+		t.Errorf("live job resumes from %+v, want the journaled checkpoint at %d units", resume, cp.Units)
+	}
+	if got := mgr2.Stats().JobsRecovered; got != 1 {
+		t.Errorf("jobs recovered = %d, want 1 (the finished job must not re-run)", got)
+	}
+	st, err := mgr2.Status("job-000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone {
+		t.Errorf("finished job restored as %s, want done", st.State)
+	}
+	got, err := mgr2.Result("job-000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Estimate != res.Estimate || got.Units != res.Units {
+		t.Errorf("finished job result = %+v, want the journaled estimate %v / %d units", got, res.Estimate, res.Units)
+	}
+	if st := waitManagerTerminal(t, mgr2, "job-000002"); st.State != StateDone {
+		t.Fatalf("live job = %s (%s), want done", st.State, st.Error)
+	}
+	resumed, err := mgr2.Result("job-000002")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kernel(resumed) != kernel(baseline) {
+		t.Errorf("resumed job diverged:\n  resumed  %+v\n  baseline %+v", kernel(resumed), kernel(baseline))
+	}
+}
+
 // waitManagerTerminal polls the manager directly (no HTTP) until the job
 // reaches a terminal state.
 func waitManagerTerminal(t *testing.T, mgr *Manager, id string) JobStatus {

@@ -56,7 +56,7 @@ var (
 	// submission token bucket vs simulated-units budget.
 	// Speculative-kernel counters: timed stripes run by the
 	// settle-then-patch executor, gate-words patched without event
-	// simulation, and stripes replayed on the full event wheel after a
+	// simulation, and stripes replayed on the scalar oracle after a
 	// misprediction (results are bit-identical either way; a rising
 	// fallback share means the speed win is eroding).
 	expSpecStripes   = expvar.NewInt("maxpowerd_spec_stripes")

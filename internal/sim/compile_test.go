@@ -29,25 +29,24 @@ func TestCompileFingerprintDistinctAcrossModels(t *testing.T) {
 		}
 		seen[p1.Fingerprint()] = m.Name()
 	}
-	// Observe sets and stripe widths are part of program identity too.
+	// Stripe widths are part of program identity too.
 	base := CompileModel(c, delay.Unit{}, CompileOptions{})
 	narrow := CompileModel(c, delay.Unit{}, CompileOptions{Width: 2})
-	observed := CompileModel(c, delay.Unit{}, CompileOptions{Observe: []int{c.Outputs[0]}})
-	if base.Fingerprint() == narrow.Fingerprint() || base.Fingerprint() == observed.Fingerprint() {
-		t.Fatal("width/observe variants share the base fingerprint")
+	if base.Fingerprint() == narrow.Fingerprint() {
+		t.Fatal("width variant shares the base fingerprint")
 	}
 }
 
 // TestCompileDeterminism: compilation is a pure function of its inputs —
-// same slot layout, delays, and ring shape every time.
+// same slot count, delays, and stripe width every time.
 func TestCompileDeterminism(t *testing.T) {
 	c := bench.MustGenerate("C880")
 	a := CompileModel(c, delay.FanoutLoaded{}, CompileOptions{})
 	b := CompileModel(c, delay.FanoutLoaded{}, CompileOptions{})
-	if a.LiveGates() != b.LiveGates() || a.GCDps() != b.GCDps() ||
+	if a.nGates != b.nGates || a.GCDps() != b.GCDps() ||
 		a.StripeWords() != b.StripeWords() || a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("recompile diverged: live %d/%d gcd %d/%d w %d/%d fp %x/%x",
-			a.LiveGates(), b.LiveGates(), a.GCDps(), b.GCDps(),
+		t.Fatalf("recompile diverged: slots %d/%d gcd %d/%d w %d/%d fp %x/%x",
+			a.nGates, b.nGates, a.GCDps(), b.GCDps(),
 			a.StripeWords(), b.StripeWords(), a.Fingerprint(), b.Fingerprint())
 	}
 	if a.CompileNS() <= 0 {
@@ -153,7 +152,7 @@ func TestProgramCacheConcurrent(t *testing.T) {
 			// the program must be safely shareable read-only state.
 			v1s := xorshiftVectors(80, c.NumInputs(), uint64(i)+1)
 			v2s := xorshiftVectors(80, c.NumInputs(), uint64(i)+100)
-			NewStriped(p).Run(packVectors(c.NumInputs(), v1s, v2s), 0)
+			NewSpeculative(p).Run(packVectors(c.NumInputs(), v1s, v2s), 0)
 			progs[i] = p
 		}(i)
 	}

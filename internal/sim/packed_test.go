@@ -98,7 +98,7 @@ func TestPackedPairsBlockLayoutMatchesPackInputs(t *testing.T) {
 		}
 	}
 	s := New(c, delay.Zero{})
-	r := NewStriped(CompileModel(c, delay.Zero{}, CompileOptions{})).Run(&pp, 0)
+	r := NewSpeculative(CompileModel(c, delay.Zero{}, CompileOptions{})).Run(&pp, 0)
 	var dst []int32
 	for i := 0; i < n; i++ {
 		want := s.RunCycle(vecs1[i], vecs2[i])

@@ -19,13 +19,13 @@
 //   - Speculative executes a Program over stripes of up to 512 pairs held
 //     in PackedPairs bit planes: it settles both vectors, patches toggle
 //     counts from compile-time hazard analysis and per-gate waveform
-//     merges, and reruns any mispredicted stripe on Striped, the
-//     compiled event wheel. Zero-delay programs compile
-//     to a glitch-free settle kernel with no calendar.
+//     merges, and replays any mispredicted stripe lane by lane on the
+//     scalar Simulator. Zero-delay programs compile to a glitch-free
+//     settle kernel with no waveforms.
 //
-// power.Evaluator drives the engine; the differential tests hold both
-// Striped and Speculative to the scalar oracle. DESIGN.md §11 and §13
-// describe the algorithms.
+// power.Evaluator drives the engine; the differential tests hold
+// Speculative to the scalar oracle. DESIGN.md §13 describes the
+// algorithms.
 package sim
 
 import (
@@ -106,6 +106,14 @@ func New(c *netlist.Circuit, m delay.Model) *Simulator {
 			zero = false
 		}
 	}
+	return newSimulator(c, d, zero)
+}
+
+// newSimulator builds a simulator over an explicit per-gate delay
+// assignment in ps. zero selects the glitch-free zero-delay path; the
+// speculative kernel's replay forces the timed path, matching a timed
+// Program even when every delay is zero.
+func newSimulator(c *netlist.Circuit, d []int64, zero bool) *Simulator {
 	n := c.NumGates()
 	return &Simulator{
 		c:           c,
@@ -124,20 +132,7 @@ func New(c *netlist.Circuit, m delay.Model) *Simulator {
 
 // Clone returns an independent simulator over the same circuit and delays.
 func (s *Simulator) Clone() *Simulator {
-	n := s.c.NumGates()
-	return &Simulator{
-		c:           s.c,
-		delays:      s.delays, // immutable after construction
-		zeroMode:    s.zeroMode,
-		values:      make([]bool, n),
-		toggles:     make([]int32, n),
-		faninV:      make([]bool, 0, 8),
-		pendingTime: make([]int64, n),
-		pendingVal:  make([]bool, n),
-		hasPending:  make([]bool, n),
-		settled1:    make([]bool, n),
-		settled2:    make([]bool, n),
-	}
+	return newSimulator(s.c, s.delays, s.zeroMode) // delays are immutable after construction
 }
 
 // CopyToggles returns an independent copy of the per-gate toggle counts,

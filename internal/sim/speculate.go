@@ -2,18 +2,17 @@ package sim
 
 import "math/bits"
 
-// Speculative is the settle-then-patch executor and the package's batch
-// engine: power.Evaluator runs every stripe through it. It replaces the
-// compiled Striped event wheel on the hot path, where the wheel would be
-// ~99% of a timed stripe's cost, and keeps the wheel as its per-stripe
-// misprediction fallback.
+// Speculative is the package's batch engine, the settle-then-patch
+// executor power.Evaluator runs every stripe through. It simulates a
+// compiled Program over stripes of W 64-lane words — up to 512 vector
+// pairs at once — and every lane's toggle counts, settle time, and
+// event count are bit-identical to the scalar Simulator on that lane's
+// vector pair, for any stripe width and any active word count.
 //
 // Phase 1 settles both input vectors of a stripe through the straight-
-// line zero-delay kernel (borrowed from the owned Striped executor) —
-// ~0.5% of a wheel run — giving every gate-word its final value and its
-// activity mask (the settle diff). Phase 2 walks the levelized slot
-// order exactly once and *patches* toggle counts in place instead of
-// firing a calendar:
+// line zero-delay kernel, giving every gate-word its final value and
+// its activity mask (the settle diff). Phase 2 walks the levelized slot
+// order exactly once and *patches* toggle counts in place:
 //
 //   - Slots outside the compile-time hazard frontier (Program.arrT ≥ 0)
 //     can toggle at most once, at a statically known time, so their
@@ -22,40 +21,52 @@ import "math/bits"
 //     their fan-outs.
 //   - Hazardous slots run a per-(gate, word) waveform merge: each
 //     fan-in's output transitions form a sorted (time, lane-mask) event
-//     list in a shared arena, and a k-way merge replays the wheel's
-//     single-pending-event inertial algebra (fresh/cancel masks,
-//     commit-before-evaluate at ts ≤ t) over the merged arrival times.
-//     The gate is processed once, not once per calendar entry — the
-//     restructure that removes the wheel's ~30× re-evaluation of every
-//     live gate per 512-lane stripe.
+//     list in a shared arena, and a k-way merge replays the scalar
+//     simulator's single-pending-event inertial rules as word-level
+//     mask algebra (fresh/cancel masks, commit-before-evaluate at
+//     ts ≤ t) over the merged arrival times. Each gate-word is
+//     processed once, not once per event.
 //   - A dynamic fast path catches hazard-eligible gate-words whose
 //     merged arrivals collapse to a single time this stripe (one more
 //     single-transition patch, at stripe granularity).
 //
 // The waveform value after the final commit must equal the settled
 // second-vector value in every lane; any disagreement is a
-// misprediction, and the whole stripe falls back to the full Striped
-// event wheel, so results stay bit-identical to the scalar oracle by
-// construction even if an invariant is ever violated. Both phases write
-// the same counter planes and settle times as the wheel and share its
-// result aggregation (finalizeTimed), so StripedResult consumers —
-// power accumulation, differential tests, Toggles — cannot tell the
-// strategies apart.
+// misprediction, and the whole stripe is replayed lane by lane on the
+// scalar Simulator (the oracle), so results stay bit-identical by
+// construction even if an invariant is ever violated. Both paths write
+// the same counter planes and settle times and share the result
+// aggregation (finalizeTimed).
 //
-// Zero-delay programs delegate to the settle kernel unchanged (it
-// already is the fast path). A Speculative owns mutable run state and is
-// not safe for concurrent use; build one per goroutine over a shared
-// immutable Program, exactly like Striped.
+// All per-word state is laid out at the *active* word count of the
+// current run (aw ≤ W), not the compiled capacity: a 5-block stripe of
+// a W=8 program packs values and toggle planes at 5 words per gate, so
+// every fetched cache line is fully used. Zero-delay programs run the
+// settle kernel alone (it already is the whole result). A Speculative
+// owns mutable run state and is not safe for concurrent use; build one
+// per goroutine over a shared immutable Program (power.Evaluator.Clone
+// does this transparently).
 type Speculative struct {
-	// LaneStats mirrors Striped.LaneStats: per-lane SettleTime/Events
-	// aggregation, cleared by the power path.
+	// LaneStats enables the per-lane SettleTime/Events aggregates.
+	// NewSpeculative sets it; the power path clears it, because cycle
+	// energy needs only the toggle planes.
 	LaneStats bool
 
-	p  *Program
-	st *Striped // settle kernel, counter planes, result, and fallback
+	p      *Program
+	aw     int // active words of the current stripe (1..W)
+	words  int // words per slot the per-word state is sized for (aw ≤ words ≤ W)
+	stride int // nGates · aw: words per value plane
+
+	// fabRun is the program's fab table with both fan-in slot ids
+	// pre-multiplied by the current active word count — rebuilt only when
+	// aw changes, so steady-state evaluation indexes values directly.
+	fabRun []uint64
+	lastAW int
 
 	val []uint64 // settle(v1): initial values and merge stream seeds
-	aux []uint64 // settle(v2): predicted final values (mispredict check)
+	aux []uint64 // settle(v2): final values (zero-delay diff, mispredict check)
+
+	settleNorm []int64 // per-lane last-change time, normalized units
 
 	// The waveform arena: one (time, mask) pair per applied output
 	// transition, interleaved at ev[2i] / ev[2i+1] so consuming an event
@@ -68,7 +79,6 @@ type Speculative struct {
 	// runs are allocation-free. Times are non-negative and bounded by
 	// depth · maxNorm, so they store and compare as uint64 exactly.
 	ev   []uint64
-	n    int // doubled watermark: events occupy ev[:n]
 	offs []int32
 	// ends[w] is word w's doubled segment end. Separate from offs so
 	// segments need not be contiguous: paired merges emit into disjoint
@@ -83,6 +93,13 @@ type Speculative struct {
 	wi, we []int32
 	wv     []uint64
 
+	// oracle and its unpacked vector pair replay mispredicted stripes;
+	// built on the first misprediction, so the steady state never pays.
+	oracle *Simulator
+	v1, v2 []bool
+
+	res StripedResult
+
 	specStripes   uint64
 	specPatched   uint64
 	specFallbacks uint64
@@ -93,9 +110,9 @@ type Speculative struct {
 type SpecStats struct {
 	// Stripes counts timed stripes attempted speculatively (zero-delay
 	// stripes never speculate — the settle kernel already is the fast
-	// path). Fallbacks counts the subset that mispredicted and re-ran
-	// on the full event wheel; PatchedWords the gate-words whose toggle
-	// counts were patched straight from the settle diff (static
+	// path). Fallbacks counts the subset that mispredicted and were
+	// replayed on the scalar oracle; PatchedWords the gate-words whose
+	// toggle counts were patched straight from the settle diff (static
 	// hazard-free slots plus dynamic single-arrival-time words) without
 	// any event-merge work.
 	Stripes, PatchedWords, Fallbacks uint64
@@ -109,13 +126,27 @@ func (s *SpecStats) Add(other SpecStats) {
 	s.Fallbacks += other.Fallbacks
 }
 
-// NewSpeculative builds a settle-then-patch executor for the program.
-// Buffers grow lazily to the circuit's peak waveform event count, after
-// which runs are allocation-free (the AllocsPerRun guards cover this
-// path like the others).
+// NewSpeculative builds an executor for the program. Value and result
+// planes are sized at the widest stripe run so far (see grow), so an
+// executor that only ever runs narrow block ranges never holds W-word
+// state; the waveform arena and deep toggle planes grow lazily to the
+// circuit's peak event count and toggle depth, after which runs are
+// allocation-free (the AllocsPerRun guards cover this path).
 func NewSpeculative(p *Program) *Speculative {
-	st := NewStriped(p)
-	return &Speculative{LaneStats: true, p: p, st: st}
+	return &Speculative{
+		LaneStats:  true,
+		p:          p,
+		lastAW:     -1,
+		fabRun:     make([]uint64, p.nGates),
+		settleNorm: make([]int64, p.w*64),
+		res: StripedResult{
+			W:          p.w,
+			NSlots:     p.nGates,
+			SettleTime: make([]int64, p.w*64),
+			Events:     make([]int, p.w*64),
+			zero:       p.zeroDelay,
+		},
+	}
 }
 
 // Program returns the compiled program this executor runs.
@@ -130,71 +161,95 @@ func (sp *Speculative) Stats() SpecStats {
 	}
 }
 
-// Run simulates stripe number `stripe` of the packed batch with the
-// settle-then-patch strategy and returns the per-lane results, under
-// Striped.Run's exact contract (same validation, same stripe addressing,
-// same StripedResult aliasing rules — the result is the owned Striped's).
+// Run simulates stripe number `stripe` of the packed batch (blocks
+// stripe·W … stripe·W+W−1, missing trailing blocks inert) and returns the
+// per-lane results. It is RunBlocks over the stripe's block range.
 func (sp *Speculative) Run(pp *PackedPairs, stripe int) *StripedResult {
-	b0, nb := sp.st.stripeRange(pp, stripe)
+	b0, nb := sp.stripeRange(pp, stripe)
 	return sp.RunBlocks(pp, b0, nb)
 }
 
-// RunBlocks is Run over an arbitrary block range b0 … b0+nb−1 (1 ≤ nb ≤
-// W), under Striped.RunBlocks's contract.
+// RunBlocks simulates blocks b0 … b0+nb−1 of the packed batch (1 ≤ nb ≤ W,
+// any b0) and returns the per-lane results, lane k·64+l being pair
+// (b0+k)·64+l. The returned result is reused by the next call (see
+// StripedResult's aliasing contract).
 func (sp *Speculative) RunBlocks(pp *PackedPairs, b0, nb int) *StripedResult {
-	st := sp.st
-	st.LaneStats = sp.LaneStats
-	st.prepare(pp, b0, nb)
+	sp.prepare(pp, b0, nb)
 	if sp.p.zeroDelay {
-		st.runZero(pp, b0)
-		return &st.res
+		sp.runZero(pp, b0)
+		return &sp.res
 	}
 	sp.specStripes++
 	if !sp.wave(pp, b0) {
-		sp.specFallbacks++
-		st.runTimed(pp, b0)
-		return &st.res
+		sp.replay(pp, b0)
 	}
-	st.finalizeTimed()
-	return &st.res
+	sp.finalizeTimed()
+	return &sp.res
 }
 
-// wave is the speculative phase-2 kernel. It fills the owned Striped's
-// counter planes, overflow unions, and (under LaneStats) settle times,
-// and reports false on a misprediction — leaving partially written
-// planes for the fallback's resetResult to clear.
-func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
-	st := sp.st
+// replay recomputes a mispredicted stripe lane by lane on the scalar
+// Simulator, built from the delay assignment the program was compiled
+// from, and writes each lane's per-gate counts and settle time into the
+// same planes the waveform kernel fills. It first clears whatever the
+// mispredicted wave left behind. Lanes past the batch stay inert.
+func (sp *Speculative) replay(pp *PackedPairs, b0 int) {
+	sp.specFallbacks++
 	p := sp.p
-	aw := st.aw
-	stride := st.stride
-	if cap(sp.val) < stride {
-		sp.val = make([]uint64, stride)
-		sp.aux = make([]uint64, stride)
-		sp.offs = make([]int32, stride+1)
-		sp.ends = make([]int32, stride+1)
+	if sp.oracle == nil {
+		sp.oracle = newSimulator(p.c, p.delaysPS, false)
+		sp.v1 = make([]bool, p.c.NumInputs())
+		sp.v2 = make([]bool, p.c.NumInputs())
 	}
-	sp.val = sp.val[:stride]
-	sp.aux = sp.aux[:stride]
-	sp.offs = sp.offs[:stride+1]
-	sp.ends = sp.ends[:stride+1]
-	st.resetResult()
+	sp.resetResult()
+	res := &sp.res
+	aw, stride := sp.aw, sp.stride
+	lanes := min(pp.N-b0*64, aw*64)
+	for l := 0; l < lanes; l++ {
+		pp.PairInto(b0*64+l, sp.v1, sp.v2)
+		r := sp.oracle.RunCycle(sp.v1, sp.v2)
+		m := uint64(1) << uint(l&63)
+		for g, c := range r.Toggles {
+			idx := g*aw + l>>6
+			if c&1 != 0 {
+				res.planes[idx] |= m
+			}
+			if c&2 != 0 {
+				res.planes[stride+idx] |= m
+			}
+			for lvl := 2; c>>lvl != 0; lvl++ {
+				if c>>lvl&1 != 0 {
+					sp.deepCarry(idx, lvl, m)
+				}
+			}
+		}
+		sp.settleNorm[l] = r.SettleTime / p.gcdPS
+	}
+}
 
-	st.loadInputs(sp.val, pp.In1, b0)
-	st.settle(sp.val)
-	st.loadInputs(sp.aux, pp.In2, b0)
-	st.settle(sp.aux)
+// wave is the speculative phase-2 kernel. It fills the counter planes,
+// overflow unions, and (under LaneStats) settle times, and reports false
+// on a misprediction — leaving partially written planes for the
+// replay's resetResult to clear.
+func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
+	p := sp.p
+	aw := sp.aw
+	sp.resetResult()
+
+	sp.loadInputs(sp.val, pp.In1, b0)
+	sp.settle(sp.val)
+	sp.loadInputs(sp.aux, pp.In2, b0)
+	sp.settle(sp.aux)
 
 	val, aux := sp.val, sp.aux
 	offs, ends := sp.offs, sp.ends
 	n := 0
 	patched := 0
-	for s := 0; s < p.nLive; s++ {
+	for s := 0; s < p.nGates; s++ {
 		op := p.fop[s]
 		base := s * aw
 		if op == fopInput {
-			// Inputs flip at t = 0 (the wheel's second-vector
-			// application); their toggles count like any other slot's.
+			// Inputs flip at t = 0 (the second vector's application);
+			// their toggles count like any other slot's.
 			for k := 0; k < aw; k++ {
 				offs[base+k] = int32(n)
 				d := val[base+k] ^ aux[base+k]
@@ -205,7 +260,7 @@ func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
 					sp.ev[n] = 0
 					sp.ev[n+1] = d
 					n += 2
-					st.res.planes[base+k] = d
+					sp.res.planes[base+k] = d
 				}
 				ends[base+k] = int32(n)
 			}
@@ -227,7 +282,7 @@ func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
 					sp.ev[n] = ut
 					sp.ev[n+1] = dw
 					n += 2
-					st.res.planes[base+k] = dw
+					sp.res.planes[base+k] = dw
 					patched++
 				}
 				ends[base+k] = int32(n)
@@ -263,7 +318,7 @@ func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
 			}
 			continue
 		}
-		fab := st.fabRun[s]
+		fab := sp.fabRun[s]
 		oaW := int(uint32(fab))
 		obW := int(fab >> 32)
 		for k := 0; k < aw; k++ {
@@ -297,7 +352,7 @@ func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
 					sp.ev[n] = at
 					sp.ev[n+1] = dw
 					n += 2
-					st.res.planes[base+k] = dw
+					sp.res.planes[base+k] = dw
 					patched++
 				}
 				ends[base+k] = int32(n)
@@ -332,9 +387,8 @@ func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
 			n = w.n
 		}
 	}
-	sp.n = n
 	sp.specPatched += uint64(patched)
-	if st.LaneStats {
+	if sp.LaneStats {
 		sp.laneSettle()
 	}
 	return true
@@ -349,12 +403,11 @@ func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
 // only under LaneStats, which keeps every stat branch out of the merge
 // hot loops; the power path never pays for it.
 func (sp *Speculative) laneSettle() {
-	st := sp.st
-	snorm := st.settleNorm
+	snorm := sp.settleNorm
 	ev := sp.ev
 	offs := sp.offs
-	aw := st.aw
-	for base := 0; base < st.stride; base += aw {
+	aw := sp.aw
+	for base := 0; base < sp.stride; base += aw {
 		for k := 0; k < aw; k++ {
 			idx := base + k
 			rem := ^uint64(0)
@@ -381,8 +434,8 @@ func (sp *Speculative) laneSettle() {
 const noPending = ^uint64(0)
 
 // Merge outcomes: a word merged clean, its final waveform value
-// disagreed with the settled second vector (stripe-level fallback to
-// the full event wheel), or the fast path hit a pile-up and parked the
+// disagreed with the settled second vector (the stripe is replayed on
+// the scalar oracle), or the fast path hit a pile-up and parked the
 // word for the full three-stream algebra (merge2Run).
 const (
 	mergeOK = iota
@@ -409,14 +462,14 @@ type m2 struct {
 
 // merge2Simple is the single-pending fast path for hazardous 2-fan-in
 // gate-words. A word needs the full arena algebra only when its output
-// changes twice within one inertial window — a pulse pile-up, which the
-// wheel's cancel counters show is rare. Everything else carries at most
+// changes twice within one inertial window — a pulse pile-up, which is
+// rare. Everything else carries at most
 // one outstanding output event, held in two registers (pendT, pendM):
 // an arrival past its time retires it into the arena, a re-evaluation
 // inside the window cancels lanes by clearing register bits, and a
 // fully swallowed pulse never reaches the arena at all — downstream
-// merges see a strictly smaller stream than the wheel's calendar
-// carried. The merge tracks only the last evaluated value s and the
+// merges see a strictly smaller stream than an event queue would
+// carry. The merge tracks only the last evaluated value s and the
 // pending mask: fresh lanes are d &^ pendM and cancelled lanes d & pendM
 // for d = s ^ raw, and toggle counts are not touched here at all — the
 // caller folds the word's finished arena segment into the counter
@@ -746,9 +799,8 @@ func (sp *Speculative) countSegment(idx, e0, e1 int) {
 			q3 ^= c3
 		}
 	}
-	st := sp.st
-	st.res.planes[idx] = b0c
-	st.res.planes[st.stride+idx] = b1c
+	sp.res.planes[idx] = b0c
+	sp.res.planes[sp.stride+idx] = b1c
 	if q2|q3 != 0 {
 		sp.deepCarry(idx, 2, q2)
 		sp.deepCarry(idx, 3, q3)
@@ -757,11 +809,10 @@ func (sp *Speculative) countSegment(idx, e0, e1 int) {
 
 // mergeN is the ≥3-fan-in generalization: a sentinel-scan k-way merge
 // with the same s/hp algebra, commit rules, and misprediction check as
-// merge2Resume (counts are likewise the caller's countSegment pass).
+// merge2Run (counts are likewise the caller's countSegment pass).
 func (sp *Speculative) mergeN(idx, slot, k int, dly int64, n int) (int, bool) {
-	st := sp.st
 	p := sp.p
-	aw := st.aw
+	aw := sp.aw
 	lo, hi := int(p.faninOff[slot]), int(p.faninOff[slot+1])
 	nf := hi - lo
 	if cap(sp.wi) < nf {
@@ -882,10 +933,9 @@ func (sp *Speculative) deepCarry(idx, lvl int, carry uint64) {
 	if carry == 0 {
 		return
 	}
-	st := sp.st
-	res := &st.res
+	res := &sp.res
 	res.ovAny[idx] |= carry
-	stride := st.stride
+	stride := sp.stride
 	for j := idx + lvl*stride; carry != 0; j += stride {
 		for j >= len(res.planes) {
 			res.planes = append(res.planes, make([]uint64, stride)...)

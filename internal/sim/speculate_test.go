@@ -9,16 +9,18 @@ import (
 )
 
 // diffSpeculative compares every lane of every stripe of a packed batch
-// against both the full event wheel and the scalar oracle — toggle
-// counts, Any/Multi masks, settle times, event totals. It is the
-// speculative engine's core contract: settle-then-patch is an execution
-// strategy, never a result change. ragged runs the batch as
-// raggedRanges through RunBlocks instead of stripe by stripe.
+// against the scalar oracle — toggle counts, Any/Multi masks, settle
+// times, event totals. It is the speculative engine's core contract:
+// settle-then-patch is an execution strategy, never a result change.
+// ragged runs the batch as raggedRanges through RunBlocks instead of
+// stripe by stripe through Run.
 func diffSpeculative(t *testing.T, c *netlist.Circuit, m delay.Model, width, lanes int, seed uint64, ragged bool) {
 	t.Helper()
 	s := New(c, m)
 	p := CompileModel(c, m, CompileOptions{Width: width})
-	st := NewStriped(p)
+	if p.ZeroDelay() != s.ZeroDelay() {
+		t.Fatalf("compiled zeroDelay=%v, scalar %v", p.ZeroDelay(), s.ZeroDelay())
+	}
 	sp := NewSpeculative(p)
 	v1s := xorshiftVectors(lanes, c.NumInputs(), seed)
 	v2s := xorshiftVectors(lanes, c.NumInputs(), seed+1)
@@ -27,64 +29,78 @@ func diffSpeculative(t *testing.T, c *netlist.Circuit, m delay.Model, width, lan
 	if ragged {
 		ranges = raggedRanges(pp.Blocks(), width)
 	}
-	var dst []int32
 	for i, br := range ranges {
-		var rw, r *StripedResult
+		var r *StripedResult
 		if ragged {
-			rw = st.RunBlocks(pp, br.b0, br.nb)
 			r = sp.RunBlocks(pp, br.b0, br.nb)
 		} else {
-			rw = st.Run(pp, i)
 			r = sp.Run(pp, i)
 		}
-		active := min(lanes-br.b0*64, r.AW*64)
-		// Word-level planes must match the wheel exactly (the energy path
-		// reads them without per-lane reconstruction).
-		for slot := 0; slot < r.NSlots; slot++ {
-			for w := 0; w < r.AW; w++ {
-				if got, want := r.Any[slot*r.AW+w], rw.Any[slot*r.AW+w]; got != want {
-					t.Fatalf("%s slot %d word %d: speculative Any %#x, wheel %#x", m.Name(), slot, w, got, want)
-				}
-				if got, want := r.MultiMask(slot, w), rw.MultiMask(slot, w); got != want {
-					t.Fatalf("%s slot %d word %d: speculative Multi %#x, wheel %#x", m.Name(), slot, w, got, want)
-				}
+		if r.AW != br.nb {
+			t.Fatalf("blocks [%d, %d): AW %d", br.b0, br.b0+br.nb, r.AW)
+		}
+		diffOracle(t, s, r, v1s, v2s, br.b0)
+	}
+}
+
+// diffOracle checks every lane of one stripe result whose first block is
+// b0 against the scalar oracle s on the same pairs: per-gate counts,
+// the word-level Any/Multi masks the energy path reads (count > 0 and
+// count > 1), settle times and event totals. Lanes past the batch must
+// be inert.
+func diffOracle(t *testing.T, s *Simulator, r *StripedResult, v1s, v2s [][]bool, b0 int) {
+	t.Helper()
+	c := s.Circuit()
+	active := min(len(v1s)-b0*64, r.AW*64)
+	anyW := make([]uint64, r.NSlots*r.AW)
+	multiW := make([]uint64, r.NSlots*r.AW)
+	var dst []int32
+	for l := 0; l < active; l++ {
+		li := b0*64 + l
+		want := s.RunCycle(v1s[li], v2s[li])
+		word, bit := l/64, l%64
+		dst = r.Toggles(word, bit, dst)
+		for g, wc := range want.Toggles {
+			if dst[g] != wc {
+				t.Fatalf("%s lane %d gate %d (%s): %d toggles, scalar %d",
+					c.Name, li, g, c.Gates[g].Name, dst[g], wc)
+			}
+			if wc > 0 {
+				anyW[g*r.AW+word] |= 1 << uint(bit)
+			}
+			if wc > 1 {
+				multiW[g*r.AW+word] |= 1 << uint(bit)
 			}
 		}
-		for l := 0; l < active; l++ {
-			li := br.b0*64 + l
-			want := s.RunCycle(v1s[li], v2s[li])
-			word, bit := l/64, l%64
-			dst = r.Toggles(word, bit, dst)
-			for g := range want.Toggles {
-				if dst[g] != want.Toggles[g] {
-					t.Fatalf("%s w%d lane %d gate %d (%s): speculative %d toggles, scalar %d",
-						m.Name(), width, li, g, c.Gates[g].Name, dst[g], want.Toggles[g])
-				}
+		if r.SettleTime[l] != want.SettleTime {
+			t.Fatalf("lane %d: settle %d ps, scalar %d ps", li, r.SettleTime[l], want.SettleTime)
+		}
+		if r.Events[l] != want.Events {
+			t.Fatalf("lane %d: %d events, scalar %d", li, r.Events[l], want.Events)
+		}
+	}
+	for slot := 0; slot < r.NSlots; slot++ {
+		for w := 0; w < r.AW; w++ {
+			if got, want := r.Any[slot*r.AW+w], anyW[slot*r.AW+w]; got != want {
+				t.Fatalf("slot %d word %d: Any %#x, oracle %#x", slot, w, got, want)
 			}
-			for slot := range r.Gates {
-				if got, wantC := r.Count(slot, word, bit), rw.Count(slot, word, bit); got != wantC {
-					t.Fatalf("%s lane %d slot %d: speculative count %d, wheel %d", m.Name(), li, slot, got, wantC)
-				}
-			}
-			if r.SettleTime[l] != want.SettleTime {
-				t.Fatalf("%s lane %d: settle %d ps, scalar %d ps", m.Name(), li, r.SettleTime[l], want.SettleTime)
-			}
-			if r.Events[l] != want.Events {
-				t.Fatalf("%s lane %d: %d events, scalar %d", m.Name(), li, r.Events[l], want.Events)
+			if got, want := r.MultiMask(slot, w), multiW[slot*r.AW+w]; got != want {
+				t.Fatalf("slot %d word %d: Multi %#x, oracle %#x", slot, w, got, want)
 			}
 		}
-		// Lanes beyond the batch must be completely inert.
-		for l := active; l < r.AW*64; l++ {
-			if r.Events[l] != 0 || r.SettleTime[l] != 0 {
-				t.Fatalf("inert lane %d: %d events, settle %d", l, r.Events[l], r.SettleTime[l])
-			}
+	}
+	for l := active; l < r.AW*64; l++ {
+		if r.Events[l] != 0 || r.SettleTime[l] != 0 {
+			t.Fatalf("inert lane %d: %d events, settle %d", l, r.Events[l], r.SettleTime[l])
 		}
 	}
 }
 
 // TestSpeculativeDifferentialScalar runs the speculative engine's
 // bit-identity contract on the ISCAS circuits across all four delay
-// models, full and ragged stripes. CI runs the C880 subtree under -race
+// models — full stripes, partial trailing words, narrowed stripe widths,
+// and block ranges at offsets that are not multiples of the width, as
+// the worker partition cuts them. CI runs the C880 subtree under -race
 // as the speculative differential step.
 func TestSpeculativeDifferentialScalar(t *testing.T) {
 	models := []delay.Model{delay.Zero{}, delay.Unit{}, delay.FanoutLoaded{}, delay.StandardTable()}
@@ -92,6 +108,8 @@ func TestSpeculativeDifferentialScalar(t *testing.T) {
 		c := bench.MustGenerate(name)
 		for _, m := range models {
 			t.Run(name+"/"+m.Name(), func(t *testing.T) {
+				// 300 pairs = 5 blocks: one partial stripe at width 8
+				// (aw = 5), the estimator's production shape.
 				diffSpeculative(t, c, m, 8, 300, 7, false)
 				diffSpeculative(t, c, m, 2, 200, 11, false)
 				diffSpeculative(t, c, m, 8, 600, 13, true)
@@ -102,7 +120,7 @@ func TestSpeculativeDifferentialScalar(t *testing.T) {
 }
 
 // TestSpeculativeRandomDifferential fuzzes the settle-then-patch engine
-// against the wheel and the scalar oracle on seeded random DAGs — the
+// against the scalar oracle on seeded random DAGs — the
 // shapes the ISCAS set does not cover (deep XOR chains, degenerate
 // fan-in, tiny cones). Seeds are logged so any failure reproduces as a
 // one-line test case.
@@ -126,6 +144,73 @@ func TestSpeculativeRandomDifferential(t *testing.T) {
 		t.Logf("seed %d: %s (%d gates)", seed, c.Name, len(c.Gates))
 		m := models[seed%uint64(len(models))]
 		diffSpeculative(t, c, m, 2, 130, seed*3+1, seed%2 == 1)
+	}
+}
+
+// TestSpeculativeScalarReplay drives the misprediction recovery path,
+// which the ISCAS circuits never reach through RunBlocks: each block
+// range is first dirtied by a wave over another batch — the state a
+// mispredicted wave leaves behind — then replayed on the scalar oracle.
+// Every lane must match a fresh Run and the oracle, and every replay
+// must count as a fallback.
+func TestSpeculativeScalarReplay(t *testing.T) {
+	models := []delay.Model{delay.Unit{}, delay.FanoutLoaded{}, delay.StandardTable()}
+	for _, name := range []string{"C432", "C880"} {
+		c := bench.MustGenerate(name)
+		for _, m := range models {
+			t.Run(name+"/"+m.Name(), func(t *testing.T) {
+				for _, tc := range []struct {
+					width, lanes int
+					ragged       bool
+				}{{8, 300, false}, {4, 600, true}} {
+					s := New(c, m)
+					p := CompileModel(c, m, CompileOptions{Width: tc.width})
+					v1s := xorshiftVectors(tc.lanes, c.NumInputs(), 61)
+					v2s := xorshiftVectors(tc.lanes, c.NumInputs(), 62)
+					pp := packVectors(c.NumInputs(), v1s, v2s)
+					other := packVectors(c.NumInputs(),
+						xorshiftVectors(tc.lanes, c.NumInputs(), 63), xorshiftVectors(tc.lanes, c.NumInputs(), 64))
+					ranges := stripeRanges(pp.Blocks(), tc.width)
+					if tc.ragged {
+						ranges = raggedRanges(pp.Blocks(), tc.width)
+					}
+					sp := NewSpeculative(p)
+					fresh := NewSpeculative(p)
+					for _, br := range ranges {
+						sp.prepare(pp, br.b0, br.nb)
+						if !sp.wave(other, 0) {
+							t.Fatal("dirtying wave mispredicted")
+						}
+						sp.replay(pp, br.b0)
+						sp.finalizeTimed()
+						r := &sp.res
+						diffOracle(t, s, r, v1s, v2s, br.b0)
+						want := fresh.RunBlocks(pp, br.b0, br.nb)
+						for i := range want.Any[:want.NSlots*want.AW] {
+							if r.Any[i] != want.Any[i] || r.Multi[i] != want.Multi[i] {
+								t.Fatalf("blocks [%d, %d) word %d: replay Any/Multi %#x/%#x, Run %#x/%#x",
+									br.b0, br.b0+br.nb, i, r.Any[i], r.Multi[i], want.Any[i], want.Multi[i])
+							}
+						}
+						for l := 0; l < r.AW*64; l++ {
+							if r.SettleTime[l] != want.SettleTime[l] || r.Events[l] != want.Events[l] {
+								t.Fatalf("blocks [%d, %d) lane %d: replay settle %d events %d, Run %d/%d",
+									br.b0, br.b0+br.nb, l, r.SettleTime[l], r.Events[l], want.SettleTime[l], want.Events[l])
+							}
+							for g := 0; g < r.NSlots; g++ {
+								if got, wc := r.Count(g, l/64, l%64), want.Count(g, l/64, l%64); got != wc {
+									t.Fatalf("blocks [%d, %d) lane %d gate %d: replay count %d, Run %d",
+										br.b0, br.b0+br.nb, l, g, got, wc)
+								}
+							}
+						}
+					}
+					if got := sp.Stats().Fallbacks; got != uint64(len(ranges)) {
+						t.Fatalf("Fallbacks = %d after %d replays", got, len(ranges))
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -200,28 +285,10 @@ func benchSpeculative(b *testing.B, model delay.Model) {
 	}
 }
 
-func benchWheel(b *testing.B, model delay.Model) {
-	c := bench.MustGenerate("C3540")
-	p := CompileModel(c, model, CompileOptions{})
-	st := NewStriped(p)
-	st.LaneStats = false
-	v1s := xorshiftVectors(512, c.NumInputs(), 7)
-	v2s := xorshiftVectors(512, c.NumInputs(), 8)
-	pp := packVectors(c.NumInputs(), v1s, v2s)
-	st.Run(pp, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Run(pp, 0)
-	}
-}
-
 // BenchmarkSpeculativeStripe measures one full 512-lane stripe of the
-// settle-then-patch kernel next to the event wheel on the same inputs —
-// the kernel-level view of the benchstream end-to-end numbers.
+// settle-then-patch kernel — the kernel-level view of the benchstream
+// end-to-end numbers.
 func BenchmarkSpeculativeStripe(b *testing.B) {
 	b.Run("spec/fanout", func(b *testing.B) { benchSpeculative(b, delay.FanoutLoaded{}) })
 	b.Run("spec/table", func(b *testing.B) { benchSpeculative(b, delay.StandardTable()) })
-	b.Run("wheel/fanout", func(b *testing.B) { benchWheel(b, delay.FanoutLoaded{}) })
-	b.Run("wheel/table", func(b *testing.B) { benchWheel(b, delay.StandardTable()) })
 }

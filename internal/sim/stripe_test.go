@@ -44,165 +44,30 @@ func raggedRanges(blocks, width int) []blockRange {
 	return out
 }
 
-// diffStriped compares every lane of every stripe of a packed batch
-// against the scalar oracle — toggle counts, Any, settle time, events.
-// ragged runs the batch as raggedRanges through RunBlocks instead of
-// stripe by stripe through Run.
-func diffStriped(t *testing.T, c *netlist.Circuit, m delay.Model, width, lanes int, seed uint64, ragged bool) {
-	t.Helper()
-	s := New(c, m)
-	p := CompileModel(c, m, CompileOptions{Width: width})
-	if p.ZeroDelay() != s.ZeroDelay() {
-		t.Fatalf("compiled zeroDelay=%v, scalar %v", p.ZeroDelay(), s.ZeroDelay())
-	}
-	st := NewStriped(p)
-	v1s := xorshiftVectors(lanes, c.NumInputs(), seed)
-	v2s := xorshiftVectors(lanes, c.NumInputs(), seed+1)
-	pp := packVectors(c.NumInputs(), v1s, v2s)
-	ranges := stripeRanges(pp.Blocks(), width)
-	if ragged {
-		ranges = raggedRanges(pp.Blocks(), width)
-	}
-	var dst []int32
-	for i, br := range ranges {
-		var r *StripedResult
-		if ragged {
-			r = st.RunBlocks(pp, br.b0, br.nb)
-		} else {
-			r = st.Run(pp, i)
-		}
-		if r.AW != br.nb {
-			t.Fatalf("blocks [%d, %d): AW %d", br.b0, br.b0+br.nb, r.AW)
-		}
-		active := min(lanes-br.b0*64, r.AW*64)
-		for l := 0; l < active; l++ {
-			li := br.b0*64 + l
-			want := s.RunCycle(v1s[li], v2s[li])
-			word, bit := l/64, l%64
-			dst = r.Toggles(word, bit, dst)
-			for g := range want.Toggles {
-				if dst[g] != want.Toggles[g] {
-					t.Fatalf("%s w%d lane %d gate %d (%s): striped %d toggles, scalar %d",
-						m.Name(), width, li, g, c.Gates[g].Name, dst[g], want.Toggles[g])
-				}
-			}
-			for slot, gid := range r.Gates {
-				wantC := want.Toggles[gid]
-				if got := r.Count(slot, word, bit); got != wantC {
-					t.Fatalf("Count(%d,%d,%d) = %d, want %d", slot, word, bit, got, wantC)
-				}
-				if any := r.Any[slot*r.AW+word]>>uint(bit)&1 == 1; any != (wantC > 0) {
-					t.Fatalf("Any slot %d lane %d = %v, toggles %d", slot, li, any, wantC)
-				}
-				if multi := r.MultiMask(slot, word)>>uint(bit)&1 == 1; multi != (wantC > 1) {
-					t.Fatalf("MultiMask slot %d lane %d = %v, toggles %d", slot, li, multi, wantC)
-				}
-			}
-			if r.SettleTime[l] != want.SettleTime {
-				t.Fatalf("%s lane %d: settle %d ps, scalar %d ps", m.Name(), li, r.SettleTime[l], want.SettleTime)
-			}
-			if r.Events[l] != want.Events {
-				t.Fatalf("%s lane %d: %d events, scalar %d", m.Name(), li, r.Events[l], want.Events)
-			}
-		}
-		// Lanes beyond the batch must be completely inert.
-		for l := active; l < r.AW*64; l++ {
-			if r.Events[l] != 0 || r.SettleTime[l] != 0 {
-				t.Fatalf("inert lane %d: %d events, settle %d", l, r.Events[l], r.SettleTime[l])
-			}
-		}
-	}
-}
-
-// TestStripedDifferentialScalar is the compiled engine's core contract:
-// for all four delay models, every lane of every stripe is bit-identical
-// to the scalar simulator on that lane's vector pair — across full
-// stripes, partial trailing words, and narrowed stripe widths. CI runs
-// the C880 subtree of this test under -race as the compiled-kernel
-// differential step.
-func TestStripedDifferentialScalar(t *testing.T) {
-	models := []delay.Model{delay.Zero{}, delay.Unit{}, delay.FanoutLoaded{}, delay.StandardTable()}
-	for _, name := range []string{"C432", "C880"} {
-		c := bench.MustGenerate(name)
-		for _, m := range models {
-			t.Run(name+"/"+m.Name(), func(t *testing.T) {
-				// 300 pairs = 5 blocks: one partial stripe at width 8
-				// (aw = 5), the estimator's production shape.
-				diffStriped(t, c, m, 8, 300, 7, false)
-				// Width 2: multiple stripes with a ragged final word.
-				diffStriped(t, c, m, 2, 200, 11, false)
-				// Block ranges at offsets that are not multiples of the
-				// width, as the worker partition cuts them.
-				diffStriped(t, c, m, 8, 600, 13, true)
-				diffStriped(t, c, m, 4, 1100, 17, true)
-			})
-		}
-	}
-}
-
-// TestStripedObserveDeadElimination checks compile-time dead-output
-// elimination: observing a subset keeps exactly the transitive fan-in
-// cone live, observed gates still match the scalar oracle bit for bit,
-// and eliminated gates read zero through Toggles.
-func TestStripedObserveDeadElimination(t *testing.T) {
-	c := bench.MustGenerate("C432")
-	m := delay.FanoutLoaded{}
-	observe := []int{c.Outputs[0]}
-	p := CompileModel(c, m, CompileOptions{Observe: observe})
-	if p.LiveGates() >= c.NumGates() {
-		t.Fatalf("observing one output kept all %d gates live", p.LiveGates())
-	}
-	live := make(map[int32]bool, p.LiveGates())
-	for _, gid := range NewStriped(p).Run(packVectors(c.NumInputs(), [][]bool{make([]bool, c.NumInputs())}, [][]bool{make([]bool, c.NumInputs())}), 0).Gates {
-		live[gid] = true
-	}
-	s := New(c, m)
-	st := NewStriped(p)
-	v1s := xorshiftVectors(70, c.NumInputs(), 3)
-	v2s := xorshiftVectors(70, c.NumInputs(), 4)
-	pp := packVectors(c.NumInputs(), v1s, v2s)
-	var dst []int32
-	r := st.Run(pp, 0)
-	for l := 0; l < 70; l++ {
-		want := s.RunCycle(v1s[l], v2s[l])
-		dst = r.Toggles(l/64, l%64, dst)
-		for g := range want.Toggles {
-			if live[int32(g)] {
-				if dst[g] != want.Toggles[g] {
-					t.Fatalf("lane %d live gate %d: %d toggles, scalar %d", l, g, dst[g], want.Toggles[g])
-				}
-			} else if dst[g] != 0 {
-				t.Fatalf("lane %d dead gate %d reads %d, want 0", l, g, dst[g])
-			}
-		}
-	}
-}
-
-// TestStripedReuse runs one engine across rounds of different batch
+// TestStripedReuse runs one executor across rounds of different batch
 // sizes (so the active word count changes run to run) and cross-checks
-// each round against a fresh engine: calendar, pending, and toggle state
-// must be fully self-cleaning, including across aw changes.
+// each round against a fresh executor: arena, counter-plane, and
+// settle-time state must be fully reset, including across aw changes.
 func TestStripedReuse(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	m := delay.FanoutLoaded{}
 	p := CompileModel(c, m, CompileOptions{})
-	st := NewStriped(p)
+	st := NewSpeculative(p)
 	// The lane sequence walks active word counts 5→1→8→7→8→1→3: every
-	// reshape direction, including the adjacent 8→7 narrowing whose stale
-	// pending-value aliasing once swallowed transitions (each run is
-	// checked against a fresh engine, so any cross-shape residue shows).
+	// reshape direction, including adjacent narrowing (each run is
+	// checked against a fresh executor, so any cross-shape residue shows).
 	for round, lanes := range []int{300, 64, 512, 416, 500, 1, 130} {
 		v1s := xorshiftVectors(lanes, c.NumInputs(), 100+uint64(round))
 		v2s := xorshiftVectors(lanes, c.NumInputs(), 200+uint64(round))
 		pp := packVectors(c.NumInputs(), v1s, v2s)
 		got := st.Run(pp, 0)
-		want := NewStriped(p).Run(pp, 0)
+		want := NewSpeculative(p).Run(pp, 0)
 		if got.AW != want.AW {
 			t.Fatalf("round %d: AW %d vs %d", round, got.AW, want.AW)
 		}
 		for i := range want.Any {
 			if got.Any[i] != want.Any[i] {
-				t.Fatalf("round %d: reused engine diverged at Any[%d]", round, i)
+				t.Fatalf("round %d: reused executor diverged at Any[%d]", round, i)
 			}
 		}
 		for l := 0; l < got.AW*64; l++ {
@@ -226,13 +91,13 @@ func TestStripedReuse(t *testing.T) {
 
 // TestStripedResultAliasing is the regression test for the shared
 // aliasing contract (the striped analogue of Result.CopyToggles /
-// TestResultCopyToggles): StripedResult.Any is engine-owned and
+// TestResultCopyToggles): StripedResult.Any is executor-owned and
 // rewritten by the next Run, while Toggles copies into a caller-owned
 // slice that survives.
 func TestStripedResultAliasing(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	p := CompileModel(c, delay.FanoutLoaded{}, CompileOptions{})
-	st := NewStriped(p)
+	st := NewSpeculative(p)
 	v1s := xorshiftVectors(64, c.NumInputs(), 21)
 	v2s := xorshiftVectors(64, c.NumInputs(), 22)
 	r := st.Run(packVectors(c.NumInputs(), v1s, v2s), 0)
@@ -279,20 +144,21 @@ func TestStripedResultAliasing(t *testing.T) {
 	}
 }
 
-// TestStripedAllocFree pins the steady state at zero allocations per
-// run once the toggle planes have grown to the circuit's depth.
+// TestStripedAllocFree pins the steady state with LaneStats on (the
+// per-lane settle-time and event aggregation) at zero allocations per
+// run once the arena and toggle planes have grown to the circuit's
+// depth; TestSpeculativeAllocFree covers the power path's LaneStats off.
 func TestStripedAllocFree(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	p := CompileModel(c, delay.FanoutLoaded{}, CompileOptions{})
-	st := NewStriped(p)
-	st.LaneStats = false
+	st := NewSpeculative(p)
 	v1s := xorshiftVectors(300, c.NumInputs(), 31)
 	v2s := xorshiftVectors(300, c.NumInputs(), 32)
 	pp := packVectors(c.NumInputs(), v1s, v2s)
 	st.Run(pp, 0)
 	st.Run(pp, 0)
 	if allocs := testing.AllocsPerRun(10, func() { st.Run(pp, 0) }); allocs != 0 {
-		t.Fatalf("striped Run allocates %.1f/op in steady state, want 0", allocs)
+		t.Fatalf("Run with LaneStats allocates %.1f/op in steady state, want 0", allocs)
 	}
 }
 
@@ -304,7 +170,7 @@ func TestStripedZeroDelayEngine(t *testing.T) {
 	if !p.ZeroDelay() {
 		t.Fatal("zero model did not compile to the zero-delay kernel")
 	}
-	st := NewStriped(p)
+	st := NewSpeculative(p)
 	v1s := xorshiftVectors(100, c.NumInputs(), 41)
 	v2s := xorshiftVectors(100, c.NumInputs(), 42)
 	r := st.Run(packVectors(c.NumInputs(), v1s, v2s), 0)
@@ -332,8 +198,8 @@ func (d fixedDelays) Assign(c *netlist.Circuit) []int64 { return append([]int64(
 // TestTimedInertialSemantics pins down the timed simulator's inertial
 // rules with hand-computed cases — pulse swallowing, simultaneous input
 // edges, and pending-event replacement with stale queue entries — on the
-// scalar path and on both batch executors, Striped and Speculative, which
-// must reproduce the scalar result in every lane of a stripe.
+// scalar path and on the batch executor, which must reproduce the scalar
+// result in every lane of a stripe.
 func TestTimedInertialSemantics(t *testing.T) {
 	type peak struct {
 		gate    string
@@ -468,7 +334,7 @@ func TestTimedInertialSemantics(t *testing.T) {
 			}
 
 			// The same pair replicated across every lane of a stripe must
-			// reproduce the scalar outcome on both batch executors.
+			// reproduce the scalar outcome on the batch executor.
 			p := CompileModel(c, model, CompileOptions{})
 			lanes := p.StripeWords() * 64
 			v1s := make([][]bool, lanes)
@@ -476,26 +342,16 @@ func TestTimedInertialSemantics(t *testing.T) {
 			for l := range v1s {
 				v1s[l], v2s[l] = tc.v1, tc.v2
 			}
-			pp := packVectors(c.NumInputs(), v1s, v2s)
-			for _, eng := range []struct {
-				name string
-				r    *StripedResult
-			}{
-				{"striped", NewStriped(p).Run(pp, 0)},
-				{"speculative", NewSpeculative(p).Run(pp, 0)},
-			} {
-				r := eng.r
-				for l := 0; l < lanes; l++ {
-					for _, w := range tc.want {
-						slot := p.slotOf[c.GateIndex(w.gate)]
-						if got := r.Count(int(slot), l/64, l%64); got != w.toggles {
-							t.Fatalf("%s lane %d %s: %d toggles, want %d", eng.name, l, w.gate, got, w.toggles)
-						}
+			r := NewSpeculative(p).Run(packVectors(c.NumInputs(), v1s, v2s), 0)
+			for l := 0; l < lanes; l++ {
+				for _, w := range tc.want {
+					if got := r.Count(c.GateIndex(w.gate), l/64, l%64); got != w.toggles {
+						t.Fatalf("lane %d %s: %d toggles, want %d", l, w.gate, got, w.toggles)
 					}
-					if r.Events[l] != tc.events || r.SettleTime[l] != tc.settle {
-						t.Fatalf("%s lane %d: events %d settle %d, want %d/%d",
-							eng.name, l, r.Events[l], r.SettleTime[l], tc.events, tc.settle)
-					}
+				}
+				if r.Events[l] != tc.events || r.SettleTime[l] != tc.settle {
+					t.Fatalf("lane %d: events %d settle %d, want %d/%d",
+						l, r.Events[l], r.SettleTime[l], tc.events, tc.settle)
 				}
 			}
 		})
@@ -503,7 +359,7 @@ func TestTimedInertialSemantics(t *testing.T) {
 }
 
 // TestStripedGCDNormalization checks that the compiled kernel divides
-// out the delay GCD internally but reports settle times in ps.
+// out the delay GCD internally but reports stripe settle times in ps.
 func TestStripedGCDNormalization(t *testing.T) {
 	c := chain(t, 3)
 	p := CompileModel(c, delay.Unit{Delay: 100}, CompileOptions{})
@@ -511,10 +367,7 @@ func TestStripedGCDNormalization(t *testing.T) {
 		t.Fatalf("GCDps = %d, want 100", p.GCDps())
 	}
 	pp := packVectors(c.NumInputs(), [][]bool{{false}}, [][]bool{{true}})
-	if got := NewStriped(p).Run(pp, 0).SettleTime[0]; got != 300 {
-		t.Fatalf("striped settle = %d ps, want 300", got)
-	}
 	if got := NewSpeculative(p).Run(pp, 0).SettleTime[0]; got != 300 {
-		t.Fatalf("speculative settle = %d ps, want 300", got)
+		t.Fatalf("stripe settle = %d ps, want 300", got)
 	}
 }

@@ -12,9 +12,6 @@ func LogGamma(x float64) float64 {
 	return v
 }
 
-// GammaFn returns the gamma function Γ(x).
-func GammaFn(x float64) float64 { return math.Gamma(x) }
-
 // maxBetaIter bounds the continued-fraction and series iterations in the
 // incomplete beta/gamma evaluations.
 const maxBetaIter = 300

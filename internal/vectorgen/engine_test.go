@@ -100,8 +100,8 @@ func TestPopulationSampleBatchMatchesScalar(t *testing.T) {
 }
 
 // TestTimedDifferentialBatchVsScalarC880 is the scalar-vs-batch
-// differential for the *timed* batch engine (the speculative kernel, with
-// its event-wheel fallback) on a non-trivial circuit and delay model
+// differential for the *timed* batch engine (the speculative kernel) on
+// a non-trivial circuit and delay model
 // (C880, fanout-loaded), driven through StreamSource and run multi-worker
 // so the CI -race step exercises the kernel's per-clone state through
 // concurrently running worker evaluators sharing one program.

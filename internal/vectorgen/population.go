@@ -159,10 +159,6 @@ func (p *Population) QualifiedFraction(eps float64) float64 {
 	return float64(z) / float64(len(p.powers))
 }
 
-// SampleIndex draws one unit index uniformly (sampling with replacement —
-// the population is conceptually infinite because repeats are allowed).
-func (p *Population) SampleIndex(rng *stats.RNG) int { return rng.Intn(len(p.powers)) }
-
 // SamplePower draws one unit's power uniformly with replacement.
 func (p *Population) SamplePower(rng *stats.RNG) float64 {
 	return p.powers[rng.Intn(len(p.powers))]

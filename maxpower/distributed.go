@@ -95,7 +95,7 @@ func EstimateDistributedContext(ctx context.Context, pop *Population, opt Estima
 		if err != nil {
 			return Result{}, err
 		}
-		_, err = fleet.RunShard(ctx, est, sh, nil, func(_ int, rec HyperRecord) bool {
+		_, err = fleet.RunShard(ctx, est, sh, func(_ int, rec HyperRecord) bool {
 			all = append(all, rec)
 			folded := evt.FoldRecords(cfg, all)
 			if opt.Progress != nil {
@@ -143,7 +143,7 @@ func RunShard(ctx context.Context, pop *Population, opt EstimateOptions, sh Shar
 	if err != nil {
 		return nil, err
 	}
-	return fleet.RunShard(ctx, est, sh, nil, onHyper)
+	return fleet.RunShard(ctx, est, sh, onHyper)
 }
 
 // RunShardStreaming is RunShard against on-demand simulation: the
@@ -179,7 +179,7 @@ func RunShardStreaming(ctx context.Context, c *netlist.Circuit, spec PopulationS
 	if err != nil {
 		return nil, err
 	}
-	recs, err := fleet.RunShard(ctx, est, sh, nil, onHyper)
+	recs, err := fleet.RunShard(ctx, est, sh, onHyper)
 	reportBatchFallbacks(src, opt)
 	return recs, err
 }
