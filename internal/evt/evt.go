@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/stats"
@@ -710,11 +711,13 @@ func (e *Estimator) updateInterval(res *Result, estimates []float64) {
 func foldInterval(cfg Config, res *Result, estimates []float64) {
 	k := len(estimates)
 	mean, sd := stats.MeanStd(estimates)
-	tq := stats.TwoSidedT(cfg.Confidence, float64(k-1))
-	half := tq * sd / math.Sqrt(float64(k))
+	q := intervalQuantiles(cfg.Confidence, k)
+	half := q.t * sd / math.Sqrt(float64(k))
 	res.Estimate = mean
 	res.SigmaSq = sd * sd
-	res.SigmaSqLow, res.SigmaSqHi = stats.VarianceCI(res.SigmaSq, k, cfg.Confidence)
+	// stats.VarianceCI's arithmetic, over the memoized χ² quantiles.
+	df := float64(k - 1)
+	res.SigmaSqLow, res.SigmaSqHi = df*res.SigmaSq/q.chiUpper, df*res.SigmaSq/q.chiLower
 	res.CILow = mean - half
 	res.CIHigh = mean + half
 	if mean != 0 {
@@ -724,6 +727,64 @@ func foldInterval(cfg Config, res *Result, estimates []float64) {
 	}
 	res.HyperSamples = k
 	res.Converged = res.RelErr <= cfg.Epsilon
+}
+
+// foldQuantiles are the quantiles one interval fold at k estimates and
+// confidence l needs: the Student-t factor t_{l,k−1} and the χ²_{k−1}
+// quantiles at (1+l)/2 and (1−l)/2. Each is an iterative CDF inversion.
+type foldQuantiles struct {
+	t, chiUpper, chiLower float64
+}
+
+// The quantile memo covers k ≤ memoMaxK at up to memoLevels distinct
+// confidences. Past either bound intervalQuantiles computes directly, so
+// a process folding at arbitrary confidences cannot grow it.
+const (
+	memoMaxK   = 256
+	memoLevels = 4
+)
+
+// quantileMemo is process-wide: every run at the same (l, k) inverts the
+// same distributions, so runs, shards and service jobs share one table.
+// A level slot is claimed once by compare-and-swap from 0 (no valid
+// confidence has bits 0) and never released; each entry is published
+// once, so readers take no lock.
+var quantileMemo [memoLevels]struct {
+	level atomic.Uint64 // math.Float64bits of the confidence
+	byK   [memoMaxK + 1]atomic.Pointer[foldQuantiles]
+}
+
+// intervalQuantiles returns the fold quantiles for (l, k), from the memo
+// when (l, k) is within its bounds. Memoized values are the directly
+// computed ones, so the fold's bits do not depend on the memo's state.
+func intervalQuantiles(l float64, k int) foldQuantiles {
+	if k <= memoMaxK && l > 0 && l < 1 {
+		bits := math.Float64bits(l)
+		for i := range quantileMemo {
+			slot := &quantileMemo[i]
+			lv := slot.level.Load()
+			if lv == 0 {
+				slot.level.CompareAndSwap(0, bits)
+				lv = slot.level.Load()
+			}
+			if lv != bits {
+				continue
+			}
+			if q := slot.byK[k].Load(); q != nil {
+				return *q
+			}
+			q := computeFoldQuantiles(l, k)
+			slot.byK[k].CompareAndSwap(nil, &q)
+			return q
+		}
+	}
+	return computeFoldQuantiles(l, k)
+}
+
+func computeFoldQuantiles(l float64, k int) foldQuantiles {
+	q := foldQuantiles{t: stats.TwoSidedT(l, float64(k-1))}
+	q.chiUpper, q.chiLower = stats.VarianceQuantiles(k, l)
+	return q
 }
 
 // RelativeError returns (estimate − actual)/actual, the quantity reported

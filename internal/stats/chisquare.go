@@ -86,6 +86,15 @@ func (c ChiSquare) Quantile(p float64) float64 {
 // variance given the unbiased sample variance s2 from n observations,
 // using the χ² pivot: [(n−1)s²/χ²_{(1+l)/2}, (n−1)s²/χ²_{(1−l)/2}].
 func VarianceCI(s2 float64, n int, confidence float64) (lo, hi float64) {
+	upper, lower := VarianceQuantiles(n, confidence)
+	df := float64(n - 1)
+	return df * s2 / upper, df * s2 / lower
+}
+
+// VarianceQuantiles returns the χ²_{n−1} quantiles at (1+l)/2 and (1−l)/2
+// that VarianceCI divides by. They depend only on (n, l), so a caller
+// folding many intervals at the same n and l can compute them once.
+func VarianceQuantiles(n int, confidence float64) (upper, lower float64) {
 	if n < 2 {
 		panic("stats: VarianceCI needs n ≥ 2")
 	}
@@ -93,8 +102,5 @@ func VarianceCI(s2 float64, n int, confidence float64) (lo, hi float64) {
 		panic("stats: confidence must be in (0,1)")
 	}
 	c := ChiSquare{K: float64(n - 1)}
-	upper := c.Quantile((1 + confidence) / 2)
-	lower := c.Quantile((1 - confidence) / 2)
-	df := float64(n - 1)
-	return df * s2 / upper, df * s2 / lower
+	return c.Quantile((1 + confidence) / 2), c.Quantile((1 - confidence) / 2)
 }

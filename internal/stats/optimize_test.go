@@ -37,7 +37,7 @@ func TestNewtonBisect(t *testing.T) {
 	// cos(x) = x has root ≈ 0.7390851332151607.
 	f := func(x float64) float64 { return math.Cos(x) - x }
 	df := func(x float64) float64 { return -math.Sin(x) - 1 }
-	root, err := NewtonBisect(f, df, 0, 1, 0.5, 1e-14)
+	root, err := NewtonBisect(f, df, 0, 1, f(0), f(1), 0.5, 1e-14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +50,39 @@ func TestNewtonBisectBadDerivative(t *testing.T) {
 	// Derivative returning zero must fall back to bisection and still work.
 	f := func(x float64) float64 { return x - 0.3 }
 	df := func(x float64) float64 { return 0 }
-	root, err := NewtonBisect(f, df, 0, 1, 0.9, 1e-12)
+	root, err := NewtonBisect(f, df, 0, 1, f(0), f(1), 0.9, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(root, 0.3, 1e-9) {
 		t.Errorf("root = %v", root)
+	}
+}
+
+// TestNewtonBisectEndpoints: the caller's endpoint values decide the
+// exact-root and no-bracket exits, and f is never re-evaluated at the
+// endpoints.
+func TestNewtonBisectEndpoints(t *testing.T) {
+	calls := 0
+	f := func(x float64) float64 { calls++; return x - 0.25 }
+	df := func(float64) float64 { return 1 }
+	if root, err := NewtonBisect(f, df, 0.25, 1, 0, 0.75, 0.5, 1e-12); err != nil || root != 0.25 {
+		t.Errorf("flo == 0: root = %v err = %v", root, err)
+	}
+	if root, err := NewtonBisect(f, df, 0, 0.25, -0.25, 0, 0.1, 1e-12); err != nil || root != 0.25 {
+		t.Errorf("fhi == 0: root = %v err = %v", root, err)
+	}
+	if _, err := NewtonBisect(f, df, 0.5, 1, 0.25, 0.75, 0.7, 1e-12); err != ErrNoBracket {
+		t.Errorf("same-sign endpoints: err = %v, want ErrNoBracket", err)
+	}
+	if calls != 0 {
+		t.Errorf("f evaluated %d times on the endpoint exits, want 0", calls)
+	}
+	if root, err := NewtonBisect(f, df, 0, 1, -0.25, 0.75, 0.5, 1e-12); err != nil || root != 0.25 {
+		t.Errorf("linear root = %v err = %v", root, err)
+	}
+	if calls > 3 {
+		t.Errorf("linear root took %d evaluations, want ≤ 3 (no endpoint re-evaluation)", calls)
 	}
 }
 

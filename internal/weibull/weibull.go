@@ -143,14 +143,21 @@ type Fitter struct {
 
 	// shapeEq inputs, hoisted to fields so the closures handed to the
 	// root solver are built once per Fitter rather than once per call.
-	n      int
+	// top indexes the scaled sample's largest entry, which is exactly 1:
+	// its term yᵢ^α is 1 at every α, so the sweep adds 1 there instead of
+	// calling Exp.
+	n, top int
 	m, s0  float64
 	shapeF func(float64) float64
 	shapeD func(float64) float64
-	// Derivative cache: shapeF computes f'(α) as a by-product of the
-	// same Exp loop that computes f(α); the solver always asks for the
-	// derivative at the point it just evaluated, so shapeD is a lookup.
-	dAt, dVal float64
+	// Sweep cache: shapeF computes f'(α) and B = Σ yᵢ^α as by-products of
+	// the same Exp loop that computes f(α). The solver always asks for the
+	// derivative at the point it just evaluated, so shapeD is a lookup,
+	// and a boundary solution reuses the B its boundary test computed.
+	dAt, dVal, bVal float64
+	// hint is the last interior root α̂; the next bracket search starts
+	// next to it (see bracket).
+	hint float64
 
 	// negProfile inputs for the golden-section refine, same idea.
 	xs       []float64
@@ -182,10 +189,10 @@ func (ft *Fitter) shapeMLE(y []float64, alphaMin float64) (alpha, logBeta float6
 	m := float64(len(y))
 	// Scale by the maximum for overflow safety; the equation is
 	// scale-invariant, and β is recovered in log space afterwards.
-	c := 0.0
-	for _, v := range y {
+	c, top := 0.0, 0
+	for i, v := range y {
 		if v > c {
-			c = v
+			c, top = v, i
 		}
 	}
 	if c == 0 {
@@ -207,7 +214,7 @@ func (ft *Fitter) shapeMLE(y []float64, alphaMin float64) (alpha, logBeta float6
 	for _, l := range logs {
 		s0 += l
 	}
-	ft.n, ft.m, ft.s0 = len(y), m, s0
+	ft.n, ft.top, ft.m, ft.s0 = len(y), top, m, s0
 	if ft.shapeF == nil {
 		ft.shapeF = func(a float64) float64 {
 			var A, B, C float64
@@ -217,15 +224,21 @@ func (ft *Fitter) shapeMLE(y []float64, alphaMin float64) (alpha, logBeta float6
 			// times per fit — the single hottest loop of the estimator
 			// tail. The derivative terms A' = C and B' = A fall out of the
 			// same loop for two extra multiplies, so Newton steps come at
-			// bisection-step cost.
-			for _, l := range logs {
+			// bisection-step cost. The top entry has log yᵢ = 0: its B term
+			// is exactly 1 and its A and C terms exactly +0, so it is added
+			// in place without an Exp and the sums keep their bits.
+			for i, l := range logs {
+				if i == ft.top {
+					B++
+					continue
+				}
 				p := math.Exp(a * l)
 				pl := p * l
 				B += p
 				A += pl
 				C += pl * l
 			}
-			ft.dAt = a
+			ft.dAt, ft.bVal = a, B
 			ft.dVal = -ft.m/(a*a) - ft.m*(C*B-A*A)/(B*B)
 			return ft.m/a + ft.s0 - ft.m*A/B
 		}
@@ -240,36 +253,81 @@ func (ft *Fitter) shapeMLE(y []float64, alphaMin float64) (alpha, logBeta float6
 	if alphaMin <= 0 {
 		alphaMin = 1e-6
 	}
-	var a float64
-	if f(alphaMin) <= 0 {
-		// Constrained optimum on the boundary (likelihood decreasing in α
-		// beyond alphaMin).
-		a = alphaMin
-	} else {
-		lo, hi := alphaMin, math.Max(2*alphaMin, 1)
-		for f(hi) > 0 {
-			hi *= 2
-			if hi > 1e9 {
-				return 0, 0, false
-			}
+	// When f(alphaMin) ≤ 0 the constrained optimum sits on the boundary:
+	// the likelihood decreases in α beyond alphaMin.
+	a := alphaMin
+	if flo := f(alphaMin); flo > 0 {
+		hi, fhi, ok := ft.bracket(math.Max(2*alphaMin, 1))
+		if !ok {
+			return 0, 0, false
 		}
 		// The profile equation is smooth and strictly decreasing in α, so
 		// guarded Newton converges in a handful of iterations where plain
 		// bisection to the same tolerance needs ~40 — and each iteration
 		// is a full Exp sweep over the sample.
 		var err error
-		a, err = stats.NewtonBisect(f, ft.shapeD, lo, hi, (lo+hi)/2, 1e-12)
+		a, err = stats.NewtonBisect(f, ft.shapeD, alphaMin, hi, flo, fhi, (alphaMin+hi)/2, 1e-12)
 		if err != nil {
 			return 0, 0, false
 		}
+		ft.hint = a
 	}
-	var B float64
-	for _, l := range logs {
-		B += math.Exp(a * l)
+	// B = Σ yᵢ^α at the solution; a boundary solution reuses the sweep of
+	// the boundary test.
+	if a != ft.dAt {
+		f(a)
 	}
 	// β = m / Σ y^α = m / (c^α · B).
-	logBeta = math.Log(m) - a*math.Log(c) - math.Log(B)
+	logBeta = math.Log(m) - a*math.Log(c) - math.Log(ft.bVal)
 	return a, logBeta, true
+}
+
+// bracketCap bounds the shape bracket search: a root above it fails the
+// fit at that μ.
+const bracketCap = 1e9
+
+// bracket returns the upper end of the shape-root bracket: the smallest
+// hi = h0·2^k (k ≥ 0) with f(hi) ≤ 0, and fhi = f(hi). It fails when that
+// needs hi > bracketCap (h0 itself is always tried). This is the point an
+// upward doubling search from h0 lands on; the search starts instead at
+// the smallest h0·2^k ≥ hint the cap allows and steps down or up from
+// there, because consecutive μ points of a fit have nearly the same root
+// and the doubling search would spend most of its sweeps below it.
+//
+// Landing on the same hi with the same bits rests on f being strictly
+// decreasing, f′(α) ≤ −m/α² < 0. The two searches differ only in points
+// the warm one skips, and each skipped point αs lies at most half way up
+// to a point αe ≤ bracketCap where the warm search found the computed f
+// positive. Then the exact f(αs) ≥ f(αe) + m(1/αs − 1/αe) ≥ f(αe) + m/αe
+// > m·1e-9 − ε, where ε ~ 1e-13 is the rounding error of a computed f for
+// the estimator's m = 10, so the computed f(αs) is positive too: the
+// doubling search would have passed αs without stopping, and both reach
+// the same first non-positive point.
+func (ft *Fitter) bracket(h0 float64) (hi, fhi float64, ok bool) {
+	f := ft.shapeF
+	hi = h0
+	for hi < ft.hint && 2*hi <= bracketCap {
+		hi *= 2
+	}
+	fhi = f(hi)
+	if fhi <= 0 {
+		for hi > h0 {
+			fdown := f(hi / 2)
+			if fdown > 0 {
+				break
+			}
+			hi, fhi = hi/2, fdown
+		}
+		return hi, fhi, true
+	}
+	for fhi > 0 {
+		hi *= 2
+		if hi > bracketCap {
+			return 0, 0, false
+		}
+		fhi = f(hi)
+	}
+	return hi, fhi, true
 }
 
 // profileLogLik returns the profile log-likelihood at location mu, i.e.
